@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import clusterform, configio, data, modelcore, multiring, oracle, orchestrator
+from . import clusterform, configio, data, modelcore, multiring, oracle, orchestrator, pipeline
 from .clusterform import GAParams, ModelFootprint
 from .errors import (
     ConfigError,
@@ -43,6 +43,13 @@ def _seed_override(seed: int) -> int:
         return int(env)
     except ValueError as exc:
         raise ConfigError(f"RAVNEST_SEED must be an integer, got {env!r}") from exc
+
+
+def _load_config(path) -> configio.ExperimentConfig:
+    """Parse an experiment config; RAVNEST_SEED overrides each of its seeds."""
+    cfg = configio.parse_experiment_config(path)
+    cfg.seed = cfg.train.seed = cfg.ga.seed = _seed_override(cfg.seed)
+    return cfg
 
 
 def _load_plan_for(cfg: configio.ExperimentConfig) -> clusterform.SessionPlan:
@@ -81,10 +88,7 @@ def cmd_form(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = configio.parse_experiment_config(args.config)
-    cfg.seed = _seed_override(cfg.seed)
-    cfg.train.seed = cfg.seed
-    cfg.ga.seed = cfg.seed
+    cfg = _load_config(args.config)
     model = cfg.model()
     if args.plan:
         plan = configio.parse_plan(Path(args.plan).read_text())
@@ -111,9 +115,8 @@ def cmd_train(args) -> int:
                                      link_overrides=cfg.link_overrides)
     except NumericError as exc:
         ckpt = out / "last_good.ckpt"
-        values = getattr(exc, "checkpoint_values", None)
-        if values is not None:
-            configio.write_checkpoint(ckpt, values)
+        if exc.checkpoint_values is not None:
+            configio.write_checkpoint(ckpt, exc.checkpoint_values)
             print(f"error: {exc}; last good parameters in {ckpt}", file=sys.stderr)
         raise
 
@@ -122,14 +125,7 @@ def cmd_train(args) -> int:
     metrics_csv = result.metrics_csv()
     (out / "metrics.csv").write_text(metrics_csv)
     for cid in plan.cluster_ids:
-        staleness = "\n".join(
-            ["# schema: ravnest-staleness-v1", "batch_id,peer,tau,update_index,virtual_time"]
-            + [
-                f"{r.batch_id},{r.peer_index},{r.tau},{r.update_index},{r.virtual_time!r}"
-                for r in result.staleness[cid]
-            ]
-        ) + "\n"
-        (out / f"staleness_c{cid}.csv").write_text(staleness)
+        (out / f"staleness_c{cid}.csv").write_text(pipeline.staleness_csv(result.staleness[cid]))
     summary = result.summary()
     (out / "summary.txt").write_text(configio.write_summary(summary))
     configio.write_checkpoint(out / "final.ckpt", result.mean_values)
@@ -197,9 +193,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = configio.parse_experiment_config(args.config)
-    cfg.seed = _seed_override(cfg.seed)
-    cfg.train.seed = cfg.seed
+    cfg = _load_config(args.config)
     values = [int(v) for v in args.values.split(",") if v.strip()]
     if not values:
         print("error: --values requires at least one entry", file=sys.stderr)

@@ -215,17 +215,6 @@ def _tournament(rng: np.random.Generator, totals: np.ndarray, k: int) -> int:
     return int(idx[np.argmin(totals[idx])])
 
 
-def sweep_q(
-    pool: Sequence[NodeSpec], footprint: ModelFootprint, q_values: Sequence[int], params: GAParams
-) -> list[tuple[int, EvolveResult]]:
-    """Run evolve for each candidate Q; seeds are offset per Q for variety."""
-    out = []
-    for i, q in enumerate(q_values):
-        p = GAParams(**{**params.__dict__, "seed": params.seed + i})
-        out.append((q, evolve(pool, footprint, q, p)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # session planning
 

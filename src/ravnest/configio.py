@@ -52,30 +52,53 @@ def _sections(text: str) -> dict[str, list[str]]:
     return out
 
 
+def _key_values(lines: list[str], what: str, allowed: set[str], required=()) -> dict[str, str]:
+    """``key = value`` lines of one section, checked against its key set."""
+    kv = {}
+    for line in lines:
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise SchemaError(f"{what}: expected key = value, got {line!r}")
+        kv[key.strip()] = val.strip()
+    unknown = set(kv) - allowed
+    if unknown:
+        raise SchemaError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in kv:
+            raise SchemaError(f"{what} missing {key!r}")
+    return kv
+
+
 # ---------------------------------------------------------------------------
 # topology and inventory
 
 
+def _node_row(line: str) -> NodeSpec:
+    """``node_id ram_bytes bandwidth_Bps [speed_factor]``"""
+    parts = line.split()
+    if len(parts) not in (3, 4):
+        raise SchemaError(f"node row needs 3 or 4 fields: {line!r}")
+    try:
+        return NodeSpec(parts[0], *(float(v) for v in parts[1:]))
+    except ValueError:
+        raise SchemaError(f"node row has a non-numeric field: {line!r}") from None
+
+
+def _node_rows(nodes) -> list[str]:
+    return [f"{n.node_id} {n.ram_bytes!r} {n.bandwidth_Bps!r} {n.speed_factor!r}" for n in nodes]
+
+
 def parse_inventory(text: str) -> list[NodeSpec]:
     """Rows: node_id ram_bytes bandwidth_Bps [speed_factor]."""
-    nodes = []
-    for line in _clean_lines(text):
-        if line.startswith("["):
-            continue  # tolerate a [nodes] header
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise SchemaError(f"inventory row needs 3 or 4 fields: {line!r}")
-        speed = float(parts[3]) if len(parts) == 4 else 1.0
-        nodes.append(NodeSpec(parts[0], float(parts[1]), float(parts[2]), speed))
+    # a [nodes] header is tolerated
+    nodes = [_node_row(line) for line in _clean_lines(text) if not line.startswith("[")]
     if not nodes:
         raise SchemaError("inventory holds no nodes")
     return nodes
 
 
 def serialize_inventory(nodes: list[NodeSpec]) -> str:
-    lines = ["# node_id ram_bytes bandwidth_Bps speed_factor", "[nodes]"]
-    for n in nodes:
-        lines.append(f"{n.node_id} {n.ram_bytes!r} {n.bandwidth_Bps!r} {n.speed_factor!r}")
+    lines = ["# node_id ram_bytes bandwidth_Bps speed_factor", "[nodes]", *_node_rows(nodes)]
     return "\n".join(lines) + "\n"
 
 
@@ -85,20 +108,9 @@ def parse_topology(text: str):
     unknown = set(secs) - {"defaults", "nodes", "links"}
     if unknown:
         raise SchemaError(f"unknown topology sections: {sorted(unknown)}")
-    latency = 0.0
-    for line in secs.get("defaults", []):
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key != "latency":
-            raise SchemaError(f"unknown topology default {key!r}")
-        latency = float(val.strip())
-    nodes: dict[str, NodeSpec] = {}
-    for line in secs.get("nodes", []):
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise SchemaError(f"node row needs 3 or 4 fields: {line!r}")
-        speed = float(parts[3]) if len(parts) == 4 else 1.0
-        nodes[parts[0]] = NodeSpec(parts[0], float(parts[1]), float(parts[2]), speed)
+    defaults = _key_values(secs.get("defaults", []), "topology default", {"latency"})
+    latency = float(defaults.get("latency", 0.0))
+    nodes = {n.node_id: n for n in map(_node_row, secs.get("nodes", []))}
     links: dict[tuple[str, str], LinkSpec] = {}
     for line in secs.get("links", []):
         parts = line.split()
@@ -123,18 +135,9 @@ def parse_footprint(text: str) -> tuple[ModelSpec, int]:
     secs = _sections(text)
     if set(secs) != {"model"}:
         raise SchemaError(f"footprint file needs exactly a [model] section, got {sorted(secs)}")
-    kv = {}
-    for line in secs["model"]:
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise SchemaError(f"expected key = value, got {line!r}")
-        kv[key.strip()] = val.strip()
-    unknown = set(kv) - {"arch", "activation", "loss", "batch_size"}
-    if unknown:
-        raise SchemaError(f"unknown footprint keys: {sorted(unknown)}")
-    for required in ("arch", "batch_size"):
-        if required not in kv:
-            raise SchemaError(f"footprint file missing {required!r}")
+    kv = _key_values(
+        secs["model"], "footprint", {"arch", "activation", "loss", "batch_size"}, ("arch", "batch_size")
+    )
     arch = [int(a) for a in kv["arch"].split(",")]
     model = modelcore.model_spec(arch, kv.get("activation", "tanh"), kv.get("loss", "mse"))
     return model, int(kv["batch_size"])
@@ -153,8 +156,7 @@ def serialize_plan(plan: SessionPlan) -> str:
     lines.append(f"loss = {plan.model.loss}")
     lines.append(f"batch_size = {plan.footprint.batch_size}")
     lines.append("[nodes]")
-    for n in plan.nodes.values():  # pool order; assignment rows align with it
-        lines.append(f"{n.node_id} {n.ram_bytes!r} {n.bandwidth_Bps!r} {n.speed_factor!r}")
+    lines += _node_rows(plan.nodes.values())  # pool order; assignment rows align with it
     lines.append("[assignment]")
     for node_id, cid in zip(plan.nodes, plan.assignment):
         lines.append(f"{node_id} {cid}")
@@ -174,20 +176,6 @@ def serialize_plan(plan: SessionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _submodel_from_range(model: ModelSpec, lo: int, hi: int, param_start: int) -> SubmodelSpec:
-    layers = model.layers[lo:hi]
-    plen = sum(l.param_count for l in layers)
-    return SubmodelSpec(
-        layer_lo=lo,
-        layer_hi=hi,
-        layers=layers,
-        block_ids=tuple(l.index for l in layers),
-        param_start=param_start,
-        param_len=plen,
-        activation_bytes_per_sample=layers[-1].activation_bytes_per_sample,
-    )
-
-
 def parse_plan(text: str) -> SessionPlan:
     first = text.splitlines()[0].strip() if text.splitlines() else ""
     if first != f"# schema: {PLAN_SCHEMA}":
@@ -196,19 +184,14 @@ def parse_plan(text: str) -> SessionPlan:
     needed = {"meta", "nodes", "assignment", "pipelines", "layouts", "rings"}
     if set(secs) != needed:
         raise SchemaError(f"plan needs sections {sorted(needed)}, got {sorted(secs)}")
-    meta = {}
-    for line in secs["meta"]:
-        key, _, val = line.partition("=")
-        meta[key.strip()] = val.strip()
+    meta_keys = ("q", "arch", "activation", "loss", "batch_size")
+    meta = _key_values(secs["meta"], "plan meta", set(meta_keys), meta_keys)
     arch = [int(a) for a in meta["arch"].split(",")]
     model = modelcore.model_spec(arch, meta["activation"], meta["loss"])
     batch_size = int(meta["batch_size"])
     footprint = ModelFootprint.from_model(model, batch_size)
 
-    nodes: dict[str, NodeSpec] = {}
-    for line in secs["nodes"]:
-        parts = line.split()
-        nodes[parts[0]] = NodeSpec(parts[0], float(parts[1]), float(parts[2]), float(parts[3]))
+    nodes = {n.node_id: n for n in map(_node_row, secs["nodes"])}
     assignment = []
     if len(secs["assignment"]) != len(nodes):
         raise SchemaError("assignment rows do not match the node list")
@@ -226,7 +209,7 @@ def parse_plan(text: str) -> SessionPlan:
     layouts: dict[int, list[SubmodelSpec]] = {cid: [] for cid in pipelines}
     for line in secs["layouts"]:
         cid, peer, lo, hi, pstart, plen = (int(v) for v in line.split())
-        sub = _submodel_from_range(model, lo, hi, pstart)
+        sub = modelcore.make_submodel(model, lo, hi, pstart)
         if sub.param_len != plen:
             raise SchemaError(
                 f"layout row for cluster {cid} peer {peer}: param_len {plen} "
@@ -301,10 +284,18 @@ _CONFIG_KEYS = {
 
 def parse_experiment_config(path: str | Path) -> ExperimentConfig:
     """Strict INI parse: unknown sections or keys are rejected, referenced
-    files must exist, numeric ranges are validated downstream."""
+    files must exist, values must convert to their types, numeric ranges are
+    validated downstream."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        return _read_experiment_config(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _read_experiment_config(path: Path) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read(path)
     for section in cp.sections():
@@ -505,8 +496,12 @@ def read_checkpoint(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise SchemaError(f"{path}: not a ravnest checkpoint")
+    if len(raw) < 8 + 12:
+        raise SchemaError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
     version, count = struct.unpack_from("<IQ", raw, 8)
     if version != CHECKPOINT_VERSION:
         raise SchemaError(f"{path}: unsupported checkpoint version {version}")
+    if len(raw) < 8 + 12 + 8 * count:
+        raise SchemaError(f"{path}: truncated checkpoint, {count} values declared in {len(raw)} bytes")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=8 + 12)
     return values.astype(np.float64)

@@ -16,9 +16,7 @@ class ShapeError(RavnestError):
 class NumericError(RavnestError):
     """Non-finite value encountered where finiteness is required."""
 
-    def __init__(self, msg, checkpoint_path=None):
-        super().__init__(msg)
-        self.checkpoint_path = checkpoint_path
+    checkpoint_values = None  # last averaged parameters, set by the training loop
 
 
 class PartitionError(RavnestError):

@@ -98,12 +98,6 @@ class ParameterVector:
         if not np.isfinite(self.values).all():
             raise NumericError("parameter vector contains non-finite values")
 
-    def block_view(self, block_id: int) -> np.ndarray:
-        for bid, start, length in self.blocks:
-            if bid == block_id:
-                return self.values[start : start + length]
-        raise KeyError(f"unknown block id {block_id}")
-
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), list(self.blocks))
 
@@ -119,7 +113,6 @@ class SubmodelSpec:
     layer_lo: int
     layer_hi: int  # exclusive
     layers: tuple[LayerSpec, ...]
-    block_ids: tuple[int, ...]
     param_start: int
     param_len: int
     activation_bytes_per_sample: int
@@ -225,17 +218,22 @@ def build_model(
     return model, params
 
 
+def make_submodel(model: ModelSpec, lo: int, hi: int, param_start: int) -> SubmodelSpec:
+    """The submodel owning layers [lo, hi), its parameters at ``param_start``."""
+    layers = model.layers[lo:hi]
+    return SubmodelSpec(
+        layer_lo=lo,
+        layer_hi=hi,
+        layers=layers,
+        param_start=param_start,
+        param_len=sum(l.param_count for l in layers),
+        activation_bytes_per_sample=layers[-1].activation_bytes_per_sample,
+    )
+
+
 def full_submodel(model: ModelSpec) -> SubmodelSpec:
     """The whole model viewed as a single peer's submodel."""
-    return SubmodelSpec(
-        layer_lo=0,
-        layer_hi=len(model.layers),
-        layers=model.layers,
-        block_ids=tuple(l.index for l in model.layers),
-        param_start=0,
-        param_len=model.param_count,
-        activation_bytes_per_sample=model.layers[-1].activation_bytes_per_sample,
-    )
+    return make_submodel(model, 0, len(model.layers), 0)
 
 
 def _layer_offsets(sub: SubmodelSpec) -> list[int]:
@@ -535,20 +533,8 @@ def partition_model(
                 f"peer {p} assigned {load:.0f} bytes over capacity {caps[p]:.0f} "
                 f"(deficit {load - caps[p]:.0f}); no layer-boundary split fits"
             )
-        layers = model.layers[lo:hi]
-        plen = sum(l.param_count for l in layers)
-        subs.append(
-            SubmodelSpec(
-                layer_lo=lo,
-                layer_hi=hi,
-                layers=layers,
-                block_ids=tuple(l.index for l in layers),
-                param_start=param_cursor,
-                param_len=plen,
-                activation_bytes_per_sample=layers[-1].activation_bytes_per_sample,
-            )
-        )
-        param_cursor += plen
+        subs.append(make_submodel(model, lo, hi, param_cursor))
+        param_cursor += subs[-1].param_len
         ai += taken
     return subs
 

@@ -5,12 +5,12 @@ boundaries; each resulting segment gets one ring whose members are the owning
 peer of that segment in every cluster (ascending cluster order). A ring of C
 members runs C-1 reduce-scatter rounds (sum, with the 1/C scaling folded into
 the last one) followed by C-1 all-gather rounds, so a full cycle is 2(C-1)
-rounds and leaves every cluster holding the elementwise mean.
+rounds and leaves every cluster holding the elementwise mean. In round r the
+member at ring position m sends chunk (m - r) mod C to position m + 1.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,6 +144,20 @@ def chunk_bounds(start: int, length: int, c: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _apply_chunk(seg: np.ndarray, lo: int, hi: int, payload: np.ndarray, round_idx: int, c: int) -> None:
+    """Apply the chunk a member receives in ``round_idx`` to ``seg[lo:hi]``.
+
+    Reduce-scatter rounds (``round_idx < c - 1``) sum, scaling by 1/c on
+    round c - 2; all-gather rounds overwrite.
+    """
+    if round_idx < c - 1:
+        seg[lo:hi] += payload
+        if round_idx == c - 2:
+            seg[lo:hi] /= c
+    else:
+        seg[lo:hi] = payload
+
+
 @dataclass
 class RingStats:
     ring_id: int
@@ -155,8 +169,8 @@ class AllReduceController:
     """Self-clocked ring state machines over a simulated network.
 
     Each member sends its round-0 chunk at kickoff; thereafter the chunk a
-    member processes in round r is exactly the chunk it forwards in round
-    r+1, so no scheduler is needed.
+    member applies in round r is exactly the chunk it forwards in round r+1,
+    so no scheduler is needed.
     """
 
     def __init__(
@@ -180,21 +194,21 @@ class AllReduceController:
     def kickoff(self, now: float) -> None:
         for ring in self.schedule.rings:
             for pos in range(len(ring.members)):
-                self._send(ring, pos, 0, pos % len(ring.members), now)
+                self._send(ring, pos, 0, now)
 
-    def _send(self, ring: Ring, pos: int, round_idx: int, chunk_idx: int, now: float) -> None:
+    def _send(self, ring: Ring, pos: int, round_idx: int, now: float) -> None:
         members = ring.members
         c = len(members)
         src_c, _ = members[pos]
         dst_pos = (pos + 1) % c
-        lo, hi = self._bounds[ring.ring_id][chunk_idx]
+        lo, hi = self._bounds[ring.ring_id][(pos - round_idx) % c]
         msg = Message(
             "ring_chunk",
             sender=self.node_of(*members[pos]),
             receiver=self.node_of(*members[dst_pos]),
             step_tag=ring.ring_id,
             payload=self.working[src_c][lo:hi].copy(),
-            extra={"ring": ring.ring_id, "round": round_idx, "chunk": chunk_idx, "to_pos": dst_pos},
+            extra={"ring": ring.ring_id, "round": round_idx, "to_pos": dst_pos},
         )
         self.network.send(msg, now)
 
@@ -209,20 +223,12 @@ class AllReduceController:
                 f"ring {rid} member {pos}: got round {round_idx}, "
                 f"expected {self._expected[rid][pos]}"
             )
-        chunk_idx = msg.extra["chunk"]
-        lo, hi = self._bounds[rid][chunk_idx]
-        cid, _ = ring.members[pos]
-        seg = self.working[cid]
-        if round_idx < c - 1:
-            seg[lo:hi] += msg.payload
-            if round_idx == c - 2:
-                seg[lo:hi] /= c
-        else:
-            seg[lo:hi] = msg.payload
+        lo, hi = self._bounds[rid][(pos - 1 - round_idx) % c]
+        _apply_chunk(self.working[ring.members[pos][0]], lo, hi, msg.payload, round_idx, c)
         self._expected[rid][pos] = round_idx + 1
         self._messages[rid] += 1
         if round_idx + 1 < 2 * (c - 1):
-            self._send(ring, pos, round_idx + 1, chunk_idx, now)
+            self._send(ring, pos, round_idx + 1, now)
 
     def done(self) -> bool:
         return all(
@@ -312,24 +318,12 @@ def apply_ring_mean(schedule: RingSchedule, cluster_params: dict[int, np.ndarray
         c = len(members)
         bounds = chunk_bounds(ring.start, ring.length, c)
         for round_idx in range(2 * (c - 1)):
-            if round_idx < c - 1:
-                chunk_of = lambda m: (m - round_idx) % c
-            else:
-                chunk_of = lambda m: (m + 1 - (round_idx - (c - 1))) % c
-            payloads = []
+            # a member is read at chunk (m - r) and written at chunk (m - 1 - r),
+            # so every payload still holds its value from before the round
             for pos in range(c):
-                lo, hi = bounds[chunk_of(pos)]
-                payloads.append(working[members[pos][0]][lo:hi].copy())
-            for pos in range(c):
-                dst = (pos + 1) % c
-                lo, hi = bounds[chunk_of(pos)]
-                seg = working[members[dst][0]]
-                if round_idx < c - 1:
-                    seg[lo:hi] += payloads[pos]
-                    if round_idx == c - 2:
-                        seg[lo:hi] /= c
-                else:
-                    seg[lo:hi] = payloads[pos]
+                lo, hi = bounds[(pos - round_idx) % c]
+                payload = working[members[pos][0]][lo:hi]
+                _apply_chunk(working[members[(pos + 1) % c][0]], lo, hi, payload, round_idx, c)
     return working
 
 
@@ -392,38 +386,6 @@ def allreduce_cost(
     total_bytes = float(schedule.total_params * 8)
     single = 2 * (c - 1) * (latency + (total_bytes / c) / min_bw_all)
     return CostReport(rings, critical, single)
-
-
-# ---------------------------------------------------------------------------
-# wire framing for a future socket transport (bit-exact, little-endian)
-
-FRAME_KIND_CODES = {"control": 0, "activation": 1, "gradient": 2, "ring_chunk": 3}
-_FRAME_HEAD = struct.Struct("<BIIQ")  # kind, ring_id, round, offset
-
-
-def encode_frame(kind: str, ring_id: int, round_idx: int, offset: int, payload: np.ndarray) -> bytes:
-    """u32 length | u8 kind | u32 ring_id | u32 round | u64 offset | fp64[]"""
-    if kind not in FRAME_KIND_CODES:
-        raise ProtocolError(f"unknown frame kind {kind!r}")
-    body = _FRAME_HEAD.pack(FRAME_KIND_CODES[kind], ring_id, round_idx, offset)
-    body += np.ascontiguousarray(payload, dtype="<f8").tobytes()
-    return struct.pack("<I", len(body)) + body
-
-
-def decode_frame(buf: bytes) -> tuple[str, int, int, int, np.ndarray, int]:
-    """Inverse of encode_frame; returns fields plus total bytes consumed."""
-    if len(buf) < 4:
-        raise ProtocolError("frame shorter than its length prefix")
-    (length,) = struct.unpack_from("<I", buf, 0)
-    if len(buf) < 4 + length:
-        raise ProtocolError(f"truncated frame: need {length} body bytes")
-    code, ring_id, round_idx, offset = _FRAME_HEAD.unpack_from(buf, 4)
-    kinds = {v: k for k, v in FRAME_KIND_CODES.items()}
-    if code not in kinds:
-        raise ProtocolError(f"unknown frame kind code {code}")
-    payload = np.frombuffer(buf, dtype="<f8", count=(length - _FRAME_HEAD.size) // 8,
-                            offset=4 + _FRAME_HEAD.size).copy()
-    return kinds[code], ring_id, round_idx, offset, payload, 4 + length
 
 
 # ---------------------------------------------------------------------------

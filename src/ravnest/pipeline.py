@@ -53,7 +53,6 @@ class PipelineCallbacks:
     """Hooks the orchestrator wires in; all optional."""
 
     on_update: Callable = _noop      # (cluster_id, peer_index, batch_id, tau, now)
-    on_loss: Callable = _noop        # (cluster_id, batch_id, loss, now)
     on_batch_done: Callable = _noop  # (cluster_id, batch_id, now)
     on_admitted: Callable = _noop    # (cluster_id, batch_id, now)
 
@@ -109,7 +108,7 @@ class PeerRuntime:
         self.node_id = node_id
         self.sub = sub
         self.params = params
-        self.forward_buffer: tuple | None = None   # (batch_id, activations, version_stamp)
+        self.forward_buffer: tuple | None = None   # (batch_id, activations)
         self.backward_buffer: tuple | None = None  # (batch_id, upstream grads)
         self.saved: dict[int, SavedContext] = {}
         self.update_count = 0
@@ -212,7 +211,7 @@ class ClusterPipeline:
         p0 = self.peers[0]
         self.in_flight.add(batch.batch_id)
         self.inflight_steps.append((now, len(self.in_flight)))
-        p0.forward_buffer = (batch.batch_id, np.asarray(batch.inputs, dtype=np.float64), p0.update_count)
+        p0.forward_buffer = (batch.batch_id, np.asarray(batch.inputs, dtype=np.float64))
         if self.n_peers == 1:
             p0.pending_targets[batch.batch_id] = np.asarray(batch.targets, dtype=np.float64)
         else:
@@ -263,7 +262,7 @@ class ClusterPipeline:
                     f"cluster {self.cluster_id} peer {peer_index}: forward slot overwrite"
                 )
             acts = msg.payload.reshape(msg.extra["shape"])
-            peer.forward_buffer = (msg.step_tag, acts, msg.staleness_stamp)
+            peer.forward_buffer = (msg.step_tag, acts)
             self._try_service(peer, now)
         elif msg.kind == "gradient":
             if peer.backward_buffer is not None:
@@ -324,7 +323,7 @@ class ClusterPipeline:
             batch_id = peer.forward_buffer[0]
             if peer.peer_index == self.n_peers - 1 and batch_id not in peer.pending_targets:
                 return  # labels still in flight; retried on their arrival
-            batch_id, acts, stamp = peer.forward_buffer
+            batch_id, acts = peer.forward_buffer
             peer.forward_buffer = None
             if peer.peer_index == 0:
                 self._try_admit_deferred(now)
@@ -351,7 +350,6 @@ class ClusterPipeline:
                 f"more than max_inflight={self.config.max_inflight} saved contexts"
             )
         peer.saved[batch_id] = SavedContext(ctx, peer.params.values.copy(), peer.update_count)
-        loss = None
         if peer.peer_index == self.n_peers - 1:
             targets = peer.pending_targets.pop(batch_id)
             loss, dy = modelcore.loss_and_grad(self.model.loss, out, targets)
@@ -369,7 +367,6 @@ class ClusterPipeline:
                     sender=peer.node_id,
                     receiver=nxt.node_id,
                     step_tag=batch_id,
-                    staleness_stamp=peer.update_count,
                     payload=out.ravel().copy(),
                     extra={"shape": out.shape},
                 ),
@@ -377,8 +374,6 @@ class ClusterPipeline:
             )
         peer.busy = False
         peer.busy_intervals.append((peer.busy_since, now))
-        if loss is not None:
-            self.callbacks.on_loss(self.cluster_id, batch_id, loss, now)
         self._try_service(peer, now)
 
     def _finish_backward(self, peer: PeerRuntime, batch_id: int, upstream: np.ndarray, now: float) -> None:
@@ -418,7 +413,6 @@ class ClusterPipeline:
                     sender=peer.node_id,
                     receiver=prev.node_id,
                     step_tag=batch_id,
-                    staleness_stamp=peer.update_count,
                     payload=igrads.ravel().copy(),
                     extra={"shape": igrads.shape},
                 ),
@@ -472,15 +466,17 @@ class ClusterPipeline:
             )
         return "\n".join(lines)
 
-    def staleness_csv(self) -> str:
-        lines = ["# schema: ravnest-staleness-v1", "batch_id,peer,tau,update_index,virtual_time"]
-        for r in self.staleness:
-            lines.append(f"{r.batch_id},{r.peer_index},{r.tau},{r.update_index},{r.virtual_time!r}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
-# bubble measurement
+# staleness and bubble measurement
+
+
+def staleness_csv(records: Sequence[StalenessRecord]) -> str:
+    """One cluster's staleness records as ravnest-staleness-v1 CSV."""
+    lines = ["# schema: ravnest-staleness-v1", "batch_id,peer,tau,update_index,virtual_time"]
+    for r in records:
+        lines.append(f"{r.batch_id},{r.peer_index},{r.tau},{r.update_index},{r.virtual_time!r}")
+    return "\n".join(lines) + "\n"
 
 
 def _overlap(intervals: list[tuple[float, float]], lo: float, hi: float) -> float:

@@ -54,7 +54,6 @@ class Message:
     sender: str
     receiver: str
     step_tag: int
-    staleness_stamp: int = 0
     payload: np.ndarray | None = None
     extra: dict = field(default_factory=dict)
 
@@ -80,9 +79,6 @@ class EventQueue:
             raise ProtocolError(f"event scheduled in the past: {time} < {self.now}")
         heapq.heappush(self._heap, (time, self._seq, action))
         self._seq += 1
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def run_until(
         self,

@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from ravnest import cli, configio
+from conftest import tiny_plan
+from ravnest import cli, clusterform, configio
 
 INVENTORY = """\
 n0 4000 1e6 1.0
@@ -234,8 +235,78 @@ class TestSweep:
         assert lines[1].startswith("q,")
         assert len(lines) == 4  # schema + header + two rows
 
+    def test_env_seed_reaches_the_planner(self, workdir, monkeypatch):
+        seeds = []
+        plan_session = clusterform.plan_session
+
+        def spy(pool, footprint, q, model, ga):
+            seeds.append(ga.seed)
+            return plan_session(pool, footprint, q, model, ga)
+
+        monkeypatch.setattr(clusterform, "plan_session", spy)
+        monkeypatch.setenv("RAVNEST_SEED", "999")
+        assert cli.main([
+            "sweep", "--config", str(workdir / "exp.ini"),
+            "--values", "2", "--out", str(workdir / "sweep"),
+        ]) == 0
+        assert seeds == [999]
+
     def test_bad_param_usage_error(self, workdir):
         assert cli.main([
             "sweep", "--config", str(workdir / "exp.ini"),
             "--param", "banana", "--values", "1", "--out", str(workdir / "s"),
         ]) == 1
+
+
+def _train(w, *extra):
+    return ["train", "--config", str(w / "exp.ini"), *extra]
+
+
+def _non_numeric_kappa(w):
+    (w / "exp.ini").write_text(CONFIG.format(out=w / "runs").replace("kappa = 5", "kappa = five"))
+    return _train(w, "--dry-run")
+
+
+def _non_numeric_inventory(w):
+    (w / "inventory.txt").write_text(INVENTORY.replace("n1 4000 1e6", "n1 4000 fast"))
+
+
+def _non_numeric_inventory_train(w):
+    _non_numeric_inventory(w)
+    return _train(w, "--dry-run")
+
+
+def _non_numeric_inventory_form(w):
+    _non_numeric_inventory(w)
+    return ["form", "--inventory", str(w / "inventory.txt"),
+            "--model-footprint", str(w / "footprint.txt"), "--q", "2", "--out", str(w / "plan")]
+
+
+def _plan(w, old, new):
+    text = configio.serialize_plan(tiny_plan([2, 2])[2])
+    assert old in text
+    (w / "plan.txt").write_text(text.replace(old, new))
+    return _train(w, "--plan", str(w / "plan.txt"))
+
+
+def _plan_missing_meta_key(w):
+    return _plan(w, "q = 2\n", "")
+
+
+def _plan_short_node_row(w):
+    return _plan(w, "[nodes]\n", "[nodes]\nn9 4000\n")
+
+
+@pytest.mark.parametrize("malformed", [
+    _non_numeric_kappa,
+    _non_numeric_inventory_train,
+    _non_numeric_inventory_form,
+    _plan_missing_meta_key,
+    _plan_short_node_row,
+])
+def test_malformed_input_exits_one_with_one_error_line(workdir, capsys, malformed):
+    rc = cli.main(malformed(workdir))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err

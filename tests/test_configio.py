@@ -91,6 +91,10 @@ class TestInventory:
         with pytest.raises(SchemaError):
             configio.parse_inventory("n0 only-two\n")
 
+    def test_non_numeric_field_rejected(self):
+        with pytest.raises(SchemaError, match="non-numeric"):
+            configio.parse_inventory("n0 4e9 fast 1.0\n")
+
 
 class TestFootprintFile:
     def test_parse(self):
@@ -196,6 +200,14 @@ class TestCheckpoint:
         assert raw[:8] == b"RAVNCKPT"
         assert int.from_bytes(raw[8:12], "little") == 1  # version
         assert int.from_bytes(raw[12:20], "little") == 1  # count
+
+    @pytest.mark.parametrize("length", [14, 40])
+    def test_truncated_rejected(self, tmp_path, length):
+        path = tmp_path / "x.ckpt"
+        configio.write_checkpoint(path, np.arange(5.0))
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(SchemaError, match="truncated"):
+            configio.read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"

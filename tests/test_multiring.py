@@ -4,20 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ravnest import oracle
-from ravnest.errors import ConfigError, LayoutError, ProtocolError, StallError
+from ravnest.errors import ConfigError, LayoutError, StallError
 from ravnest.multiring import (
+    AllReduceController,
     ParamRange,
     allreduce_cost,
     apply_ring_mean,
     build_ring_schedule,
     bytes_per_member,
     chunk_bounds,
-    decode_frame,
-    encode_frame,
     random_instance,
+    default_node_name,
     run_allreduce,
     validate_schedule,
 )
+from ravnest.simnet import Network, NodeSpec
 
 
 def layouts_from_sizes(sizes_by_cluster: dict[int, list[int]]):
@@ -162,45 +163,23 @@ class TestRunAllReduce:
         with pytest.raises(StallError, match=r"ring=0, round=\d+, member=\(1, 0\)"):
             run_allreduce(sched, {0: np.ones(4), 1: np.ones(4)}, max_events=1)
 
-    def test_apply_ring_mean_matches_event_version_bitwise(self):
-        rng = np.random.Generator(np.random.Philox(key=31))
-        inst = random_instance(rng, 4, max_peers=3, max_dim=200)
-        evented, _ = run_allreduce(inst.schedule, inst.cluster_values)
+    @given(st.integers(0, 10_000), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_apply_ring_mean_matches_event_version_bitwise(self, seed, n_clusters):
+        # the evented side runs over slow heterogeneous links with latency:
+        # contention may reorder traffic between rings but never the arithmetic
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        inst = random_instance(rng, n_clusters, max_peers=3, max_dim=300)
+        working = _allreduce_over_slow_network(inst, rng)
         direct = apply_ring_mean(inst.schedule, inst.cluster_values)
-        for cid in evented:
-            assert np.array_equal(evented[cid], direct[cid])
+        for cid in working:
+            assert np.array_equal(working[cid], direct[cid])
 
     def test_exact_mean_over_slow_heterogeneous_network(self):
-        # rounds self-clock per ring, so latency and bandwidth contention may
-        # reorder traffic between rings but never change the arithmetic
-        from ravnest.simnet import Network, NodeSpec
-
         rng = np.random.Generator(np.random.Philox(key=55))
         inst = random_instance(rng, 4, max_peers=3, max_dim=300)
-        nodes = {}
-        for ring in inst.schedule.rings:
-            for member in ring.members:
-                name = f"c{member[0]}.p{member[1]}"
-                nodes[name] = NodeSpec(name, 1.0, float(rng.uniform(1e4, 1e6)))
-        net = Network(nodes, default_latency=0.003)
         ideal, _ = run_allreduce(inst.schedule, inst.cluster_values)
-
-        ctl_holder = {}
-
-        def handler(msg, now):
-            ctl_holder["ctl"].handle(msg, now)
-
-        for name in nodes:
-            net.register(name, handler)
-        from ravnest.multiring import AllReduceController, default_node_name
-
-        working = {c: v.copy() for c, v in inst.cluster_values.items()}
-        ctl = AllReduceController(inst.schedule, working, net, default_node_name)
-        ctl_holder["ctl"] = ctl
-        ctl.kickoff(0.0)
-        net.run_until(max_events=100_000)
-        assert ctl.done()
-        assert net.now > 0.003  # latency actually shaped the schedule
+        working = _allreduce_over_slow_network(inst, rng)
         for c in working:
             assert np.array_equal(working[c], ideal[c])
 
@@ -216,6 +195,25 @@ class TestRunAllReduce:
             err = np.abs(out[c] - want) / np.maximum(np.abs(want), 1.0)
             assert err.max() <= 1e-12
         assert all(s.rounds == 2 * (n_clusters - 1) for s in stats)
+
+
+def _allreduce_over_slow_network(inst, rng, latency=0.003):
+    """One evented cycle over links of random bandwidth and fixed latency."""
+    nodes = {}
+    for ring in inst.schedule.rings:
+        for member in ring.members:
+            name = default_node_name(*member)
+            nodes[name] = NodeSpec(name, 1.0, float(rng.uniform(1e4, 1e6)))
+    net = Network(nodes, default_latency=latency)
+    working = {c: v.copy() for c, v in inst.cluster_values.items()}
+    ctl = AllReduceController(inst.schedule, working, net, default_node_name)
+    for name in nodes:
+        net.register(name, ctl.handle)
+    ctl.kickoff(0.0)
+    net.run_until(max_events=100_000)
+    assert ctl.done()
+    assert net.now > latency  # latency actually shaped the schedule
+    return working
 
 
 class TestCost:
@@ -244,31 +242,3 @@ class TestCost:
         report = allreduce_cost(sched, bandwidth=1e6)
         assert report.rings[1].seconds == pytest.approx(3 * report.rings[0].seconds, rel=1e-12)
 
-
-class TestWireFraming:
-    def test_round_trip_bit_exact(self):
-        payload = np.array([1.5, -2.25, 3.875])
-        buf = encode_frame("ring_chunk", 7, 3, 160, payload)
-        kind, ring_id, rnd, off, got, consumed = decode_frame(buf)
-        assert (kind, ring_id, rnd, off) == ("ring_chunk", 7, 3, 160)
-        assert consumed == len(buf)
-        assert got.tobytes() == payload.astype("<f8").tobytes()
-
-    def test_golden_header_bytes(self):
-        buf = encode_frame("ring_chunk", 1, 2, 3, np.array([1.0]))
-        # length = 1 + 4 + 4 + 8 + 8 = 25, little-endian
-        assert buf[:4] == (25).to_bytes(4, "little")
-        assert buf[4] == 3  # ring_chunk kind code
-        assert buf[5:9] == (1).to_bytes(4, "little")
-        assert buf[9:13] == (2).to_bytes(4, "little")
-        assert buf[13:21] == (3).to_bytes(8, "little")
-        assert buf[21:] == np.array([1.0]).astype("<f8").tobytes()
-
-    def test_truncated_frame_rejected(self):
-        buf = encode_frame("control", 0, 0, 0, np.zeros(2))
-        with pytest.raises(ProtocolError, match="truncated"):
-            decode_frame(buf[:10])
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ProtocolError):
-            encode_frame("nonsense", 0, 0, 0, np.zeros(1))

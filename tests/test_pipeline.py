@@ -9,7 +9,7 @@ from ravnest.errors import (
     ProtocolError,
     StalenessError,
 )
-from ravnest.pipeline import measure_bubble
+from ravnest.pipeline import measure_bubble, staleness_csv
 from ravnest.simnet import Message
 
 
@@ -241,7 +241,7 @@ class TestProtocolErrors:
     def test_staleness_csv_schema(self):
         h = make_cluster(n_peers=2)
         drive(h, random_batches(h.model, 3))
-        lines = h.cluster.staleness_csv().splitlines()
+        lines = staleness_csv(h.cluster.staleness).splitlines()
         assert lines[0] == "# schema: ravnest-staleness-v1"
         assert lines[1] == "batch_id,peer,tau,update_index,virtual_time"
         assert len(lines) == 2 + 2 * 3
