@@ -69,6 +69,17 @@ def _key_values(lines: list[str], what: str, allowed: set[str], required=()) -> 
     return kv
 
 
+def _ints(fields: list[str], what: str, n: int | None = None) -> list[int]:
+    """``fields`` converted to integers; ``n``, if given, is the required count."""
+    try:
+        values = [int(v) for v in fields]
+    except ValueError:
+        raise SchemaError(f"{what}: expected integers, got {fields}") from None
+    if n is not None and len(values) != n:
+        raise SchemaError(f"{what}: expected {n} integers, got {len(values)}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # topology and inventory
 
@@ -138,9 +149,10 @@ def parse_footprint(text: str) -> tuple[ModelSpec, int]:
     kv = _key_values(
         secs["model"], "footprint", {"arch", "activation", "loss", "batch_size"}, ("arch", "batch_size")
     )
-    arch = [int(a) for a in kv["arch"].split(",")]
+    arch = _ints(kv["arch"].split(","), "footprint arch")
     model = modelcore.model_spec(arch, kv.get("activation", "tanh"), kv.get("loss", "mse"))
-    return model, int(kv["batch_size"])
+    (batch_size,) = _ints([kv["batch_size"]], "footprint batch_size")
+    return model, batch_size
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +198,10 @@ def parse_plan(text: str) -> SessionPlan:
         raise SchemaError(f"plan needs sections {sorted(needed)}, got {sorted(secs)}")
     meta_keys = ("q", "arch", "activation", "loss", "batch_size")
     meta = _key_values(secs["meta"], "plan meta", set(meta_keys), meta_keys)
-    arch = [int(a) for a in meta["arch"].split(",")]
+    arch = _ints(meta["arch"].split(","), "plan meta arch")
     model = modelcore.model_spec(arch, meta["activation"], meta["loss"])
-    batch_size = int(meta["batch_size"])
+    (batch_size,) = _ints([meta["batch_size"]], "plan meta batch_size")
+    (q,) = _ints([meta["q"]], "plan meta q")
     footprint = ModelFootprint.from_model(model, batch_size)
 
     nodes = {n.node_id: n for n in map(_node_row, secs["nodes"])}
@@ -196,19 +209,24 @@ def parse_plan(text: str) -> SessionPlan:
     if len(secs["assignment"]) != len(nodes):
         raise SchemaError("assignment rows do not match the node list")
     for line, expected in zip(secs["assignment"], nodes):
-        node_id, cid = line.split()
+        node_id, *cid = line.split()
         if node_id != expected:
             raise SchemaError(
                 f"assignment rows out of order: {node_id!r} where {expected!r} expected"
             )
-        assignment.append(int(cid))
+        assignment += _ints(cid, f"assignment row {line!r}", 1)
     pipelines: dict[int, list[str]] = {}
     for line in secs["pipelines"]:
-        parts = line.split()
-        pipelines[int(parts[0])] = parts[1:]
+        cid, *members = line.split()
+        (cid,) = _ints([cid], f"pipeline row {line!r}")
+        pipelines[cid] = members
     layouts: dict[int, list[SubmodelSpec]] = {cid: [] for cid in pipelines}
     for line in secs["layouts"]:
-        cid, peer, lo, hi, pstart, plen = (int(v) for v in line.split())
+        cid, peer, lo, hi, pstart, plen = _ints(line.split(), f"layout row {line!r}", 6)
+        if cid not in layouts:
+            raise SchemaError(f"layout row for cluster {cid}, which has no pipeline")
+        if not 0 <= lo < hi <= len(model.layers):
+            raise SchemaError(f"layout row {line!r}: layers [{lo}, {hi}) outside the model")
         sub = modelcore.make_submodel(model, lo, hi, pstart)
         if sub.param_len != plen:
             raise SchemaError(
@@ -220,15 +238,16 @@ def parse_plan(text: str) -> SessionPlan:
         layouts[cid].append(sub)
     rings = []
     for line in secs["rings"]:
-        rid, start, length, members = line.split()
+        *head, members = line.split()
+        rid, start, length = _ints(head, f"ring row {line!r}", 3)
         pairs = tuple(
-            (int(c), int(p)) for c, p in (m.split(":") for m in members.split(","))
+            tuple(_ints(m.split(":"), f"ring member {m!r}", 2)) for m in members.split(",")
         )
-        rings.append(Ring(int(rid), int(start), int(length), pairs))
+        rings.append(Ring(rid, start, length, pairs))
     schedule = RingSchedule(tuple(rings), model.param_count)
     validate_schedule(schedule, layouts)
     plan = SessionPlan(
-        q=int(meta["q"]),
+        q=q,
         assignment=tuple(assignment),
         nodes=nodes,
         pipelines=pipelines,
@@ -280,6 +299,14 @@ _CONFIG_KEYS = {
     "ga": {"pop_size", "generations", "crossover_rate", "mutation_rate", "elitism_k",
            "tournament_k"},
 }
+# keys without a default, per required section
+_REQUIRED_CONFIG_KEYS = {
+    "experiment": (),
+    "model": ("arch",),
+    "data": ("generator", "n_samples"),
+    "cluster": ("inventory", "q"),
+    "train": ("kappa", "k_target", "batch_size"),
+}
 
 
 def parse_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -291,8 +318,11 @@ def parse_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         return _read_experiment_config(path)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno} comes before any [section] header") from None
+    except (configparser.Error, ValueError) as exc:
+        # configparser messages span lines; the error contract is one line
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
 
 
 def _read_experiment_config(path: Path) -> ExperimentConfig:
@@ -304,9 +334,12 @@ def _read_experiment_config(path: Path) -> ExperimentConfig:
         unknown = set(cp[section]) - _CONFIG_KEYS[section]
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    for required in ("experiment", "model", "data", "cluster", "train"):
+    for required, keys in _REQUIRED_CONFIG_KEYS.items():
         if required not in cp:
             raise ConfigError(f"config missing section [{required}]")
+        for key in keys:
+            if key not in cp[required]:
+                raise ConfigError(f"config [{required}] missing key {key!r}")
 
     exp = cp["experiment"]
 

@@ -107,7 +107,8 @@ class SubmodelSpec:
     """Contiguous layer range owned by one peer.
 
     param_start/param_len locate the owned parameters in the global flat
-    index space, so ring schedules can address them directly.
+    index space, so ring schedules can address them directly;
+    layer_offsets locates each owned layer inside the local parameters.
     """
 
     layer_lo: int
@@ -116,6 +117,7 @@ class SubmodelSpec:
     param_start: int
     param_len: int
     activation_bytes_per_sample: int
+    layer_offsets: tuple[int, ...]
 
     @property
     def param_bytes(self) -> int:
@@ -153,10 +155,13 @@ class Batch:
 
 @dataclass
 class ForwardContext:
-    """Everything backward needs: per-layer inputs and pre-activations."""
+    """Everything backward needs: per-layer inputs and pre-activations, and
+    the output (the last layer's post-activation; each earlier layer's is the
+    next layer's input)."""
 
     layer_inputs: tuple[np.ndarray, ...]
     preacts: tuple[np.ndarray, ...]
+    output: np.ndarray
 
 
 def model_spec(
@@ -221,26 +226,23 @@ def build_model(
 def make_submodel(model: ModelSpec, lo: int, hi: int, param_start: int) -> SubmodelSpec:
     """The submodel owning layers [lo, hi), its parameters at ``param_start``."""
     layers = model.layers[lo:hi]
+    offsets = [0]
+    for lay in layers:
+        offsets.append(offsets[-1] + lay.param_count)
     return SubmodelSpec(
         layer_lo=lo,
         layer_hi=hi,
         layers=layers,
         param_start=param_start,
-        param_len=sum(l.param_count for l in layers),
+        param_len=offsets[-1],
         activation_bytes_per_sample=layers[-1].activation_bytes_per_sample,
+        layer_offsets=tuple(offsets[:-1]),
     )
 
 
 def full_submodel(model: ModelSpec) -> SubmodelSpec:
     """The whole model viewed as a single peer's submodel."""
     return make_submodel(model, 0, len(model.layers), 0)
-
-
-def _layer_offsets(sub: SubmodelSpec) -> list[int]:
-    offs = [0]
-    for lay in sub.layers:
-        offs.append(offs[-1] + lay.param_count)
-    return offs
 
 
 def _layer_wb(values: np.ndarray, offset: int, lay: LayerSpec):
@@ -260,12 +262,11 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ConfigError(f"unknown activation {kind!r}")
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "identity":
-        return np.ones_like(z)
+def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of a non-identity activation, from its pre-activation ``z``
+    and its post-activation ``a``."""
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     if kind == "relu":
         return (z > 0.0).astype(np.float64)
     raise ConfigError(f"unknown activation {kind!r}")
@@ -283,16 +284,16 @@ def forward(
         raise ShapeError(
             f"forward input shape {x.shape} incompatible with in_dim {sub.in_dim}"
         )
-    offs = _layer_offsets(sub)
     layer_inputs = []
     preacts = []
-    for i, lay in enumerate(sub.layers):
-        w, b = _layer_wb(params.values, offs[i], lay)
-        z = x @ w.T + b
+    for lay, offset in zip(sub.layers, sub.layer_offsets):
+        w, b = _layer_wb(params.values, offset, lay)
+        z = x @ w.T
+        z += b
         layer_inputs.append(x)
         preacts.append(z)
         x = _activate(z, lay.activation)
-    return x, ForwardContext(tuple(layer_inputs), tuple(preacts))
+    return x, ForwardContext(tuple(layer_inputs), tuple(preacts), x)
 
 
 def backward(
@@ -312,19 +313,22 @@ def backward(
             f"upstream grad shape {g.shape}, expected "
             f"{(ctx.preacts[-1].shape[0], sub.out_dim)}"
         )
-    offs = _layer_offsets(sub)
     param_grads = np.empty(sub.param_len, dtype=np.float64)
+    post = ctx.output
     for i in range(len(sub.layers) - 1, -1, -1):
         lay = sub.layers[i]
-        w, _ = _layer_wb(params.values, offs[i], lay)
-        dz = g * _activate_grad(ctx.preacts[i], lay.activation)
+        offset = sub.layer_offsets[i]
+        w, _ = _layer_wb(params.values, offset, lay)
         x = ctx.layer_inputs[i]
-        dw = dz.T @ x
-        db = dz.sum(axis=0)
-        w_len = lay.in_dim * lay.out_dim
-        param_grads[offs[i] : offs[i] + w_len] = dw.ravel()
-        param_grads[offs[i] + w_len : offs[i] + lay.param_count] = db
+        if lay.activation == "identity":
+            dz = g
+        else:
+            dz = g * _activate_grad(ctx.preacts[i], post, lay.activation)
+        w_end = offset + lay.in_dim * lay.out_dim
+        np.matmul(dz.T, x, out=param_grads[offset:w_end].reshape(lay.out_dim, lay.in_dim))
+        dz.sum(axis=0, out=param_grads[w_end : offset + lay.param_count])
         g = dz @ w
+        post = x
     return param_grads, g
 
 
@@ -390,12 +394,7 @@ def full_gradient(
 
 
 def _blocks_of(sub: SubmodelSpec) -> list[tuple[int, int, int]]:
-    blocks = []
-    cursor = 0
-    for lay in sub.layers:
-        blocks.append((lay.index, cursor, lay.param_count))
-        cursor += lay.param_count
-    return blocks
+    return [(lay.index, off, lay.param_count) for lay, off in zip(sub.layers, sub.layer_offsets)]
 
 
 def peer_vector(sub: SubmodelSpec, full_values: np.ndarray) -> ParameterVector:

@@ -124,6 +124,8 @@ def validate_schedule(schedule: RingSchedule, cluster_layouts: dict[int, Sequenc
         if [c for c, _ in ring.members] != cids:
             raise LayoutError(f"ring {ring.ring_id} lacks one member per cluster")
         for cid, peer in ring.members:
+            if not 0 <= peer < len(cluster_layouts[cid]):
+                raise LayoutError(f"ring {ring.ring_id}: cluster {cid} has no peer {peer}")
             sub = cluster_layouts[cid][peer]
             if not (sub.param_start <= ring.start and ring.start + ring.length <= sub.param_start + sub.param_len):
                 raise LayoutError(
@@ -170,7 +172,8 @@ class AllReduceController:
 
     Each member sends its round-0 chunk at kickoff; thereafter the chunk a
     member applies in round r is exactly the chunk it forwards in round r+1,
-    so no scheduler is needed.
+    so no scheduler is needed. Member node names are resolved once, and
+    ``done()`` counts down the messages still to be handled.
     """
 
     def __init__(
@@ -187,9 +190,14 @@ class AllReduceController:
         self._bounds = {
             r.ring_id: chunk_bounds(r.start, r.length, len(r.members)) for r in schedule.rings
         }
+        self._names = {
+            r.ring_id: tuple(node_of(*member) for member in r.members) for r in schedule.rings
+        }
         self._expected = {r.ring_id: [0] * len(r.members) for r in schedule.rings}
         self._messages = {r.ring_id: 0 for r in schedule.rings}
         self._rings = {r.ring_id: r for r in schedule.rings}
+        # each of a ring's C members handles 2(C-1) messages per cycle
+        self._remaining = sum(2 * (len(r.members) - 1) * len(r.members) for r in schedule.rings)
 
     def kickoff(self, now: float) -> None:
         for ring in self.schedule.rings:
@@ -197,18 +205,18 @@ class AllReduceController:
                 self._send(ring, pos, 0, now)
 
     def _send(self, ring: Ring, pos: int, round_idx: int, now: float) -> None:
-        members = ring.members
-        c = len(members)
-        src_c, _ = members[pos]
+        rid = ring.ring_id
+        names = self._names[rid]
+        c = len(names)
         dst_pos = (pos + 1) % c
-        lo, hi = self._bounds[ring.ring_id][(pos - round_idx) % c]
+        lo, hi = self._bounds[rid][(pos - round_idx) % c]
         msg = Message(
             "ring_chunk",
-            sender=self.node_of(*members[pos]),
-            receiver=self.node_of(*members[dst_pos]),
-            step_tag=ring.ring_id,
-            payload=self.working[src_c][lo:hi].copy(),
-            extra={"ring": ring.ring_id, "round": round_idx, "to_pos": dst_pos},
+            sender=names[pos],
+            receiver=names[dst_pos],
+            step_tag=rid,
+            payload=self.working[ring.members[pos][0]][lo:hi].copy(),
+            extra={"ring": rid, "round": round_idx, "to_pos": dst_pos},
         )
         self.network.send(msg, now)
 
@@ -227,15 +235,12 @@ class AllReduceController:
         _apply_chunk(self.working[ring.members[pos][0]], lo, hi, msg.payload, round_idx, c)
         self._expected[rid][pos] = round_idx + 1
         self._messages[rid] += 1
+        self._remaining -= 1
         if round_idx + 1 < 2 * (c - 1):
             self._send(ring, pos, round_idx + 1, now)
 
     def done(self) -> bool:
-        return all(
-            exp == 2 * (len(self._rings[rid].members) - 1)
-            for rid, exps in self._expected.items()
-            for exp in exps
-        )
+        return self._remaining == 0
 
     def stats(self) -> list[RingStats]:
         return [

@@ -181,6 +181,7 @@ class _Trainer:
         self.config = config
         self.cluster_ids = plan.cluster_ids
         self.n_clusters = len(self.cluster_ids)
+        self._cluster_pos = {cid: pos for pos, cid in enumerate(self.cluster_ids)}
         peers = [len(plan.pipelines[cid]) for cid in self.cluster_ids]
         config.validate(peers)
 
@@ -266,19 +267,12 @@ class _Trainer:
 
         return route
 
-    def _cluster_pos(self, cid: int) -> int:
-        return self.cluster_ids.index(cid)
-
     def _offer(self, cid: int, now: float) -> None:
         seq = self.offered[cid]
         self.offered[cid] += 1
+        pos = self._cluster_pos[cid]
         batch = data.make_batch(
-            self.shards[self._cluster_pos(cid)],
-            seq,
-            self.config.batch_size,
-            cid,
-            self._cluster_pos(cid),
-            self.n_clusters,
+            self.shards[pos], seq, self.config.batch_size, cid, pos, self.n_clusters
         )
         self.clusters[cid].admit_batch(batch, now)
 

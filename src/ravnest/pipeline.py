@@ -57,7 +57,7 @@ class PipelineCallbacks:
     on_admitted: Callable = _noop    # (cluster_id, batch_id, now)
 
 
-@dataclass
+@dataclass(slots=True)
 class StalenessRecord:
     batch_id: int
     peer_index: int
@@ -66,7 +66,7 @@ class StalenessRecord:
     virtual_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SavedContext:
     ctx: ForwardContext
     params_at_forward: np.ndarray
@@ -383,7 +383,7 @@ class ClusterPipeline:
                 f"cluster {self.cluster_id} peer {peer.peer_index}: "
                 f"backward for unknown batch {batch_id}"
             )
-        stale_params = ParameterVector(saved.params_at_forward, list(peer.params.blocks))
+        stale_params = ParameterVector(saved.params_at_forward, peer.params.blocks)
         pgrads, igrads = modelcore.backward(peer.sub, stale_params, saved.ctx, upstream)
         tau = peer.update_count - saved.version
         record = StalenessRecord(batch_id, peer.peer_index, tau, peer.update_count, now)
@@ -400,7 +400,7 @@ class ClusterPipeline:
         if peer.accum_n == self.config.n_accum:
             mean = peer.accum_sum / self.config.n_accum
             modelcore.apply_update(peer.params, mean, self.config.eta)
-            peer.accum_sum = np.zeros_like(peer.accum_sum)
+            peer.accum_sum.fill(0.0)
             peer.accum_n = 0
             peer.update_count += 1
             updated = True

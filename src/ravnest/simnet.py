@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,7 +43,7 @@ class LinkSpec:
             raise TopologyError(f"bad link {self.src}->{self.dst}: {self}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """Typed unit on the simulated wire.
 
@@ -91,17 +92,20 @@ class EventQueue:
         Stops when the predicate holds (checked between events), or when the
         queue drains. An exhausted event budget raises a livelock diagnostic.
         """
+        heap = self._heap
+        pop = heapq.heappop
+        budget = math.inf if max_events is None else max_events
         processed = 0
-        while self._heap:
+        while heap:
             if predicate is not None and predicate():
                 return self.now
-            if max_events is not None and processed >= max_events:
+            if processed >= budget:
                 detail = diagnostics() if diagnostics else ""
                 raise StallError(
                     f"event budget of {max_events} exhausted at t={self.now}"
                     + (f"\n{detail}" if detail else "")
                 )
-            time, _, action = heapq.heappop(self._heap)
+            time, _, action = pop(heap)
             if time > self.now:
                 self.now = time
             action(self.now)
@@ -117,7 +121,10 @@ class Network:
 
     Per-node bandwidth expands on demand into per-link specs with bandwidth
     min(sender, receiver) and the default latency; explicit link overrides
-    win. Serialization occupies the link (FIFO), propagation pipelines.
+    win. Each (sender, receiver) link is resolved once, on its first send,
+    and reused after that: a ``link_overrides`` entry must exist before the
+    first send on its link. Serialization occupies the link (FIFO),
+    propagation pipelines.
     """
 
     def __init__(
@@ -132,6 +139,7 @@ class Network:
         self.default_latency = float(default_latency)
         self.queue = EventQueue()
         self.handlers: dict[str, Callable[[Message, float], None]] = {}
+        self._links: dict[tuple[str, str], tuple[float, float]] = {}  # (bandwidth, latency)
         self._busy_until: dict[tuple[str, str], float] = {}
         self.trace_enabled = trace_enabled
         self.trace: list[tuple[float, str, str, str, int, int]] = []
@@ -162,18 +170,22 @@ class Network:
         """Schedule delivery at now + serialization + latency; returns that time."""
         if now is None:
             now = self.queue.now
-        link = self.link_for(msg.sender, msg.receiver)
         key = (msg.sender, msg.receiver)
+        link = self._links.get(key)
+        if link is None:
+            spec = self.link_for(*key)
+            link = self._links[key] = (spec.bandwidth, spec.latency)
+        bandwidth, latency = link
+        payload = msg.payload
+        nbytes = 0 if payload is None else payload.size * payload.itemsize
         start = max(now, self._busy_until.get(key, 0.0))
-        done = start + msg.payload_bytes / link.bandwidth
+        done = start + nbytes / bandwidth
         self._busy_until[key] = done
-        deliver_at = done + link.latency
+        deliver_at = done + latency
 
-        def deliver(t: float, msg=msg):
+        def deliver(t: float):
             if self.trace_enabled:
-                self.trace.append(
-                    (t, msg.kind, msg.sender, msg.receiver, msg.step_tag, msg.payload_bytes)
-                )
+                self.trace.append((t, msg.kind, msg.sender, msg.receiver, msg.step_tag, nbytes))
             handler = self.handlers.get(msg.receiver)
             if handler is None:
                 raise ProtocolError(f"no handler registered for node {msg.receiver!r}")

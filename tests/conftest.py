@@ -78,8 +78,10 @@ def tiny_plan(
     loss: str = "mse",
     n_layers: int | None = None,
     arch: list[int] | None = None,
+    speed_factors: tuple[float, ...] = (1.0,),
 ):
-    """Homogeneous multi-cluster plan with a fixed assignment (no GA)."""
+    """Multi-cluster plan with a fixed assignment (no GA); peer j of every
+    cluster runs at speed_factors[j % len(speed_factors)]."""
     if arch is None:
         layers = n_layers if n_layers is not None else max(peer_counts)
         arch = [width] * (layers + 1)
@@ -89,7 +91,7 @@ def tiny_plan(
     assignment = []
     for ci, count in enumerate(peer_counts, start=1):
         for j in range(count):
-            pool.append(NodeSpec(f"c{ci}n{j}", fp.M, bandwidth, 1.0))
+            pool.append(NodeSpec(f"c{ci}n{j}", fp.M, bandwidth, speed_factors[j % len(speed_factors)]))
             assignment.append(ci)
     plan = plan_session(pool, fp, len(peer_counts), model, assignment=assignment)
     return model, params, plan

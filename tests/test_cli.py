@@ -297,12 +297,72 @@ def _plan_short_node_row(w):
     return _plan(w, "[nodes]\n", "[nodes]\nn9 4000\n")
 
 
+def _config_without(w, line):
+    text = CONFIG.format(out=w / "runs")
+    assert line in text
+    (w / "exp.ini").write_text(text.replace(line, ""))
+    return _train(w, "--dry-run")
+
+
+def _config_missing_generator(w):
+    return _config_without(w, "generator = mlp\n")
+
+
+def _config_missing_kappa(w):
+    return _config_without(w, "kappa = 5\n")
+
+
+def _config_without_section_headers(w):
+    (w / "exp.ini").write_text("seed = 11\nkappa = 5\n")
+    return _train(w, "--dry-run")
+
+
+def _form_with_footprint(w, old, new):
+    assert old in FOOTPRINT
+    (w / "footprint.txt").write_text(FOOTPRINT.replace(old, new))
+    return ["form", "--inventory", str(w / "inventory.txt"),
+            "--model-footprint", str(w / "footprint.txt"), "--q", "2", "--out", str(w / "plan")]
+
+
+def _footprint_non_numeric_arch(w):
+    return _form_with_footprint(w, "arch = 4,4,4,4,4", "arch = 4,x,4")
+
+
+def _footprint_non_numeric_batch_size(w):
+    return _form_with_footprint(w, "batch_size = 2", "batch_size = two")
+
+
+def _plan_non_numeric_q(w):
+    return _plan(w, "q = 2\n", "q = two\n")
+
+
+def _plan_bad_assignment_row(w):
+    return _plan(w, "c1n0 1\n", "c1n0 one\n")
+
+
+def _plan_short_layouts_row(w):
+    return _plan(w, "1 0 0 1 0 20\n", "1 0 0 1 0\n")
+
+
+def _plan_bad_rings_row(w):
+    return _plan(w, "1:0,2:0", "1-0,2:0")
+
+
 @pytest.mark.parametrize("malformed", [
     _non_numeric_kappa,
     _non_numeric_inventory_train,
     _non_numeric_inventory_form,
     _plan_missing_meta_key,
     _plan_short_node_row,
+    _config_missing_generator,
+    _config_missing_kappa,
+    _config_without_section_headers,
+    _footprint_non_numeric_arch,
+    _footprint_non_numeric_batch_size,
+    _plan_non_numeric_q,
+    _plan_bad_assignment_row,
+    _plan_short_layouts_row,
+    _plan_bad_rings_row,
 ])
 def test_malformed_input_exits_one_with_one_error_line(workdir, capsys, malformed):
     rc = cli.main(malformed(workdir))

@@ -193,6 +193,80 @@ class TestForwardBackward:
         np.testing.assert_array_equal(acts, full)
 
 
+def _reference_forward(sub, values, x):
+    """Plain per-layer forward: offsets summed on the fly, fresh arrays only."""
+    layer_inputs, preacts = [], []
+    offset = 0
+    for lay in sub.layers:
+        w_len = lay.in_dim * lay.out_dim
+        w = values[offset : offset + w_len].reshape(lay.out_dim, lay.in_dim)
+        b = values[offset + w_len : offset + lay.param_count]
+        z = x @ w.T + b
+        layer_inputs.append(x)
+        preacts.append(z)
+        if lay.activation == "tanh":
+            x = np.tanh(z)
+        elif lay.activation == "relu":
+            x = np.maximum(z, 0.0)
+        else:
+            x = z
+        offset += lay.param_count
+    return x, layer_inputs, preacts
+
+
+def _reference_backward(sub, values, layer_inputs, preacts, g):
+    """Plain per-layer backward: derivatives recomputed from pre-activations."""
+    offsets = np.cumsum([0] + [lay.param_count for lay in sub.layers])
+    grads = np.empty(sub.param_len)
+    for i in range(len(sub.layers) - 1, -1, -1):
+        lay, z, offset = sub.layers[i], preacts[i], offsets[i]
+        if lay.activation == "tanh":
+            deriv = 1.0 - np.tanh(z) * np.tanh(z)
+        elif lay.activation == "relu":
+            deriv = (z > 0.0).astype(np.float64)
+        else:
+            deriv = np.ones_like(z)
+        dz = g * deriv
+        w_len = lay.in_dim * lay.out_dim
+        w = values[offset : offset + w_len].reshape(lay.out_dim, lay.in_dim)
+        grads[offset : offset + w_len] = (dz.T @ layer_inputs[i]).ravel()
+        grads[offset + w_len : offset + lay.param_count] = dz.sum(axis=0)
+        g = dz @ w
+    return grads, g
+
+
+class TestBitwiseAgainstReference:
+    @given(
+        st.sampled_from(modelcore.ACTIVATIONS),
+        st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        st.integers(1, 8),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_forward_backward_bitwise(self, hidden, arch, batch, data):
+        model, params = build_model(arch, data.draw(st.integers(0, 999)), hidden)
+        n = len(model.layers)
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        start = sum(lay.param_count for lay in model.layers[:lo])
+        sub = modelcore.make_submodel(model, lo, hi, start)
+        pv = modelcore.peer_vector(sub, params.values)
+        rng = np.random.Generator(np.random.Philox(key=data.draw(st.integers(0, 999))))
+        x = rng.normal(size=(batch, sub.in_dim))
+        g = rng.normal(size=(batch, sub.out_dim))
+
+        out, ctx = modelcore.forward(sub, pv, x)
+        want_out, want_inputs, want_preacts = _reference_forward(sub, pv.values, x)
+        assert np.array_equal(out, want_out)
+        for got, want in zip(ctx.preacts + ctx.layer_inputs, want_preacts + want_inputs):
+            assert np.array_equal(got, want)
+
+        pgrads, igrads = modelcore.backward(sub, pv, ctx, g)
+        want_pgrads, want_igrads = _reference_backward(sub, pv.values, want_inputs, want_preacts, g)
+        assert np.array_equal(pgrads, want_pgrads)
+        assert np.array_equal(igrads, want_igrads)
+
+
 class TestApplyUpdate:
     def test_eta_zero_bitwise_unchanged(self):
         _, params = build_model([3, 2], 4)

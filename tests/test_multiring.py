@@ -197,6 +197,38 @@ class TestRunAllReduce:
         assert all(s.rounds == 2 * (n_clusters - 1) for s in stats)
 
 
+    @given(st.integers(0, 10_000), st.integers(2, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_done_flips_exactly_after_the_last_message(self, seed, n_clusters):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        inst = random_instance(rng, n_clusters, max_peers=3, max_dim=300)
+        full = 2 * (n_clusters - 1)
+        seen = []
+
+        def handle(msg, now):
+            ctl.handle(msg, now)
+            rounds_done = all(s.rounds == full for s in ctl.stats())
+            seen.append((ctl.done(), rounds_done))
+
+        nodes = {}
+        for ring in inst.schedule.rings:
+            for member in ring.members:
+                name = default_node_name(*member)
+                nodes[name] = NodeSpec(name, 1.0, float(rng.uniform(1e4, 1e6)))
+        net = Network(nodes, default_latency=0.001)
+        working = {c: v.copy() for c, v in inst.cluster_values.items()}
+        ctl = AllReduceController(inst.schedule, working, net, default_node_name)
+        for name in nodes:
+            net.register(name, handle)
+        assert not ctl.done()
+        ctl.kickoff(0.0)
+        net.run_until(max_events=100_000)
+        n_messages = sum(s.messages for s in ctl.stats())
+        assert n_messages == len(inst.schedule.rings) * n_clusters * full
+        assert [done for done, _ in seen] == [False] * (n_messages - 1) + [True]
+        assert all(done == rounds_done for done, rounds_done in seen)
+
+
 def _allreduce_over_slow_network(inst, rng, latency=0.003):
     """One evented cycle over links of random bandwidth and fixed latency."""
     nodes = {}

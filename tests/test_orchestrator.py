@@ -191,6 +191,34 @@ class TestDeterminism:
         assert a.metrics_hash() != b.metrics_hash()
 
 
+class TestBitIdentity:
+    """Metrics hashes pinned to the event loop's exact output: any change to
+    event order, link timing or arithmetic on the training path moves them."""
+
+    def test_snapshot_mixed_speeds_with_latency_and_link_override(self):
+        from ravnest.simnet import LinkSpec
+
+        model, params, plan = tiny_plan([3, 2], speed_factors=(1.0, 0.7, 1.3))
+        cfg = TrainConfig(eta=0.03, kappa=40, k_target=480, batch_size=2, seed=5,
+                          barrier_mode="snapshot", default_latency=2e-6)
+        slow = {("c1n0", "c1n1"): LinkSpec("c1n0", "c1n1", 5e-6, 2e8)}
+        result = train(model, params.values, plan, cfg, small_dataset(model),
+                       link_overrides=slow)
+        assert result.metrics_hash() == (
+            "c8e0009b723750243bc7623f794b54159d40e490700a4c01e312f43dc47c30dd"
+        )
+
+    def test_drain_three_clusters(self):
+        model, params, plan = tiny_plan([2, 1, 2], speed_factors=(1.3, 0.7))
+        cfg = TrainConfig(eta=0.03, kappa=8, k_target=240, batch_size=2, seed=7,
+                          barrier_mode="drain", default_latency=1e-6)
+        result = train(model, params.values, plan, cfg, small_dataset(model, seed=7))
+        assert result.clock.cycle == 30
+        assert result.metrics_hash() == (
+            "2ff25af81e4cb8dd84a46ef400695892c99e72e750605b87736126d438079f5a"
+        )
+
+
 class TestMeasurement:
     def test_constant_series_slope_zero(self):
         cks = [CheckpointRecord(t=10 * (i + 1), virtual_time=0.0, grad_norm=2.5,

@@ -116,6 +116,33 @@ class TestSend:
         with pytest.raises(ProtocolError):
             Message("telepathy", "a", "b", 0)
 
+    def test_message_is_slotted_and_still_validates(self):
+        assert not hasattr(Message("control", "a", "b", 0), "__dict__")
+        with pytest.raises(ProtocolError, match="telepathy"):
+            Message("telepathy", "a", "b", 0, extra={})
+
+    def test_link_resolved_once_on_first_send(self):
+        net = two_node_net(latency=0.0, bw=1e18)
+        net.link_overrides[("a", "b")] = LinkSpec("a", "b", 0.5, 1e3)
+        resolved = []
+        link_for = net.link_for
+        net.link_for = lambda src, dst: resolved.append((src, dst)) or link_for(src, dst)
+        times = []
+        net.register("b", lambda msg, now: times.append(now))
+        net.send(Message("control", "a", "b", 0, payload=np.zeros(25)), now=0.0)
+        # a later override is not consulted: the link was resolved on first use
+        net.link_overrides[("a", "b")] = LinkSpec("a", "b", 9.0, 1.0)
+        net.send(Message("control", "a", "b", 1, payload=np.zeros(25)), now=10.0)
+        net.run_until()
+        assert resolved == [("a", "b")]
+        assert times == [pytest.approx(0.2 + 0.5), pytest.approx(10.0 + 0.2 + 0.5)]
+
+    def test_unknown_receiver_raises_on_every_send(self):
+        net = two_node_net()
+        for _ in range(3):
+            with pytest.raises(TopologyError, match="unknown node 'zz'"):
+                net.send(Message("control", "a", "zz", 0), now=0.0)
+
 
 class TestDeterminism:
     def _run(self, seed):
