@@ -75,12 +75,7 @@ def penalty_scale(pool: Sequence[NodeSpec], footprint: ModelFootprint) -> float:
 
 
 def evaluate(
-    assignment: Sequence[int],
-    pool: Sequence[NodeSpec],
-    footprint: ModelFootprint,
-    q: int,
-    lam_ram: float | None = None,
-    lam_empty: float | None = None,
+    assignment: Sequence[int], pool: Sequence[NodeSpec], footprint: ModelFootprint, q: int
 ) -> Fitness:
     """Penalized fitness of one assignment (lower is better).
 
@@ -92,26 +87,33 @@ def evaluate(
         raise ConfigError("q must be >= 1")
     if len(assignment) != len(pool):
         raise ConfigError("assignment length must match pool size")
-    scale = penalty_scale(pool, footprint)
-    if lam_ram is None:
-        lam_ram = scale
-    if lam_empty is None:
-        lam_empty = scale
+    imbalance, penalty = _fitness(np.asarray(assignment)[None, :], pool, footprint, q)
+    return Fitness(float(imbalance[0]), float(penalty[0]))
+
+
+def _fitness(
+    pop: np.ndarray, pool: Sequence[NodeSpec], footprint: ModelFootprint, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Imbalance and penalty of every row of ``pop`` at once.
+
+    Sums run over the nodes in pool order and the clusters in id order, each
+    starting from zero, so every row is bit-identical to a scalar loop.
+    """
     m = footprint.M
-    times = []
-    penalty = 0.0
-    for cid in range(1, q + 1):
-        members = [node for node, c in zip(pool, assignment) if c == cid]
-        if not members:
-            penalty += lam_ram + lam_empty
-            times.append(0.0)
-            continue
-        ram_sum = sum(node.ram_bytes for node in members)
-        times.append(sum((m * node.ram_bytes / ram_sum) / node.bandwidth_Bps for node in members))
-        if ram_sum < m:
-            penalty += lam_ram * (m - ram_sum) / m
-    imbalance = (max(times) - min(times)) if q >= 2 else 0.0
-    return Fitness(imbalance, penalty)
+    scale = penalty_scale(pool, footprint)
+    member = pop[:, :, None] == np.arange(1, q + 1)      # (row, node, cluster)
+    ram_sum = np.zeros((len(pop), q))
+    for j, node in enumerate(pool):
+        ram_sum += np.where(member[:, j], node.ram_bytes, 0.0)
+    occupied = member.any(axis=1)
+    divisor = np.where(occupied, ram_sum, 1.0)
+    times = np.zeros_like(ram_sum)
+    for j, node in enumerate(pool):
+        times += np.where(member[:, j], (m * node.ram_bytes / divisor) / node.bandwidth_Bps, 0.0)
+    short = np.where(ram_sum < m, scale * (m - ram_sum) / m, 0.0)
+    per_cluster = np.where(occupied, short, scale + scale)
+    penalty = sum(per_cluster[:, cid] for cid in range(q))
+    return times.max(axis=1) - times.min(axis=1), penalty
 
 
 def check_feasibility(
@@ -157,43 +159,52 @@ def evolve(
 
     Deterministic for a fixed seed. The best individual ever observed is
     tracked across generations and returned; the per-generation history of
-    that best is therefore nonincreasing.
+    that best is therefore nonincreasing. The per-child loop only draws, in an
+    order that is part of the result; the rest works on whole generations.
     """
     validate_pool(pool)
     n = len(pool)
-    if params.pop_size < 2 or params.generations < 1:
+    size, k, elite = params.pop_size, params.tournament_k, params.elitism_k
+    if size < 2 or params.generations < 1:
         raise ConfigError("pop_size >= 2 and generations >= 1 required")
+    if k < 1 or not 0 <= elite <= size:
+        raise ConfigError("tournament_k >= 1 and 0 <= elitism_k <= pop_size required")
+    if not (0.0 <= params.crossover_rate <= 1.0 and 0.0 <= params.mutation_rate <= 1.0):
+        raise ConfigError("crossover_rate and mutation_rate must lie in [0, 1]")
     if q > n:
         raise ConfigError(f"cannot form {q} non-empty clusters from {n} nodes")
     provably_infeasible = sum(node.ram_bytes for node in pool) < q * footprint.M
 
     rng = np.random.default_rng(params.seed)
-    pop = rng.integers(1, q + 1, size=(params.pop_size, n))
-    totals = np.array([evaluate(ind, pool, footprint, q).total for ind in pop])
+    pop = rng.integers(1, q + 1, size=(size, n))
+    totals = np.add(*_fitness(pop, pool, footprint, q))
 
     best_idx = int(np.argmin(totals))
     best = pop[best_idx].copy()
     best_total = float(totals[best_idx])
     history = [best_total]
 
+    # Consecutive integer draws share PCG64's buffered 32-bit half: a (2, k)
+    # draw equals two k draws and scalar draws one sized draw. Doubles may
+    # not move between them.
+    n_children = size - elite
     for _ in range(params.generations):
-        order = np.argsort(totals, kind="stable")
-        children = [pop[i].copy() for i in order[: params.elitism_k]]
-        while len(children) < params.pop_size:
-            pa = pop[_tournament(rng, totals, params.tournament_k)]
-            pb = pop[_tournament(rng, totals, params.tournament_k)]
+        picks = np.empty((n_children, 2, k), dtype=np.int64)
+        cross = np.zeros((n_children, n))     # rows left at 0.0 copy parent a
+        mutate = np.empty((n_children, n))
+        values = []
+        for c in range(n_children):
+            picks[c] = rng.integers(0, size, size=(2, k))
             if rng.random() < params.crossover_rate:
-                mask = rng.random(n) < 0.5
-                child = np.where(mask, pa, pb)
-            else:
-                child = pa.copy()
-            mut = rng.random(n) < params.mutation_rate
-            if mut.any():
-                child = child.copy()
-                child[mut] = rng.integers(1, q + 1, size=int(mut.sum()))
-            children.append(child)
-        pop = np.array(children)
-        totals = np.array([evaluate(ind, pool, footprint, q).total for ind in pop])
+                rng.random(out=cross[c])
+            rng.random(out=mutate[c])
+            hits = np.count_nonzero(mutate[c] < params.mutation_rate)
+            values += [rng.integers(1, q + 1) for _ in range(hits)]
+        winners = np.take_along_axis(picks, totals[picks].argmin(axis=2)[..., None], 2)[..., 0]
+        children = np.where(cross < 0.5, pop[winners[:, 0]], pop[winners[:, 1]])
+        children[mutate < params.mutation_rate] = values
+        pop = np.concatenate([pop[np.argsort(totals, kind="stable")[:elite]], children])
+        totals = np.add(*_fitness(pop, pool, footprint, q))
         gen_best = int(np.argmin(totals))
         if totals[gen_best] < best_total:
             best_total = float(totals[gen_best])
@@ -208,11 +219,6 @@ def evolve(
         feasible=fit.feasible,
         provably_infeasible=provably_infeasible,
     )
-
-
-def _tournament(rng: np.random.Generator, totals: np.ndarray, k: int) -> int:
-    idx = rng.integers(0, len(totals), size=k)
-    return int(idx[np.argmin(totals[idx])])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import modelcore
 from .clusterform import GAParams, ModelFootprint, SessionPlan
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, LayoutError, SchemaError
 from .modelcore import ModelSpec, SubmodelSpec
 from .multiring import Ring, RingSchedule, validate_schedule
 from .orchestrator import TrainConfig
@@ -245,7 +245,10 @@ def parse_plan(text: str) -> SessionPlan:
         )
         rings.append(Ring(rid, start, length, pairs))
     schedule = RingSchedule(tuple(rings), model.param_count)
-    validate_schedule(schedule, layouts)
+    try:
+        validate_schedule(schedule, layouts)
+    except LayoutError as exc:
+        raise SchemaError(f"plan rings: {exc}") from exc
     plan = SessionPlan(
         q=q,
         assignment=tuple(assignment),

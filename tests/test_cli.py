@@ -348,6 +348,27 @@ def _plan_bad_rings_row(w):
     return _plan(w, "1:0,2:0", "1-0,2:0")
 
 
+def _plan_ring_member_out_of_range(w):
+    return _plan(w, "1:1,2:1", "1:1,2:9")
+
+
+def _plan_extra_layouts_row(w):
+    return _plan(w, "2 1 1 2 20 20\n", "2 1 1 2 20 20\n2 2 1 2 20 20\n")
+
+
+def _config_with_ga(w, line):
+    (w / "exp.ini").write_text(CONFIG.format(out=w / "runs") + f"\n[ga]\n{line}\n")
+    return _train(w, "--dry-run")
+
+
+def _ga_tournament_k_zero(w):
+    return _config_with_ga(w, "tournament_k = 0")
+
+
+def _ga_elitism_k_above_pop_size(w):
+    return _config_with_ga(w, "elitism_k = 100")
+
+
 @pytest.mark.parametrize("malformed", [
     _non_numeric_kappa,
     _non_numeric_inventory_train,
@@ -363,6 +384,10 @@ def _plan_bad_rings_row(w):
     _plan_bad_assignment_row,
     _plan_short_layouts_row,
     _plan_bad_rings_row,
+    _plan_ring_member_out_of_range,
+    _plan_extra_layouts_row,
+    _ga_tournament_k_zero,
+    _ga_elitism_k_above_pop_size,
 ])
 def test_malformed_input_exits_one_with_one_error_line(workdir, capsys, malformed):
     rc = cli.main(malformed(workdir))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,57 @@ def small_footprint(m_bytes=1000.0):
     return ModelFootprint(batch_size=1, fwdbwd_bytes_per_sample=0.0, param_bytes=m_bytes)
 
 
+def _guard_pool(seed, n, q, m_factor):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pool = random_pool(rng, n)
+    m = m_factor * sum(nd.ram_bytes for nd in pool) / q
+    return pool, small_footprint(m)
+
+
+# (pool seed, n, q, M as a share of the mean cluster RAM, GA parameters):
+# q = 1, n = 1, no elitism with 1-way tournaments, all-elite generations,
+# and crossover/mutation rates of exactly 0 and 1.
+GUARD_CASES = [
+    (31, 6, 1, 0.8, GAParams(pop_size=12, generations=15, seed=1)),
+    (32, 1, 1, 0.5, GAParams(pop_size=4, generations=5, seed=2)),
+    (33, 7, 3, 0.9, GAParams(pop_size=10, generations=20, elitism_k=0, tournament_k=1, seed=3)),
+    (34, 6, 2, 0.7, GAParams(pop_size=8, generations=10, elitism_k=8, seed=4)),
+    (35, 8, 3, 1.3, GAParams(pop_size=10, generations=15, crossover_rate=0.0,
+                             mutation_rate=1.0, seed=5)),
+    (36, 8, 2, 0.9, GAParams(pop_size=10, generations=15, crossover_rate=1.0,
+                             mutation_rate=0.0, tournament_k=5, seed=6)),
+    (37, 9, 4, 0.6, GAParams(pop_size=24, generations=30, seed=7)),
+]
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _evolve_digests():
+    digests = []
+    for seed, n, q, m_factor, params in GUARD_CASES:
+        pool, fp = _guard_pool(seed, n, q, m_factor)
+        res = evolve(pool, fp, q, params)
+        digests.append(_digest((res.best, res.history, res.fitness)))
+    return digests
+
+
+def _evaluate_digest():
+    """Fitness of 400 seeded random rows, q up to n + 1 so some clusters
+    are empty and M up to 2.5x the mean cluster RAM so some are short."""
+    rng = np.random.Generator(np.random.Philox(key=4242))
+    rows = []
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        q = int(rng.integers(1, min(n + 1, 4) + 1))
+        pool, fp = _guard_pool(int(rng.integers(2**31)), n, q, float(rng.uniform(0.1, 2.5)))
+        assignment = rng.integers(1, q + 1, size=n).tolist()
+        fit = evaluate(assignment, pool, fp, q)
+        rows.append((fit.imbalance, fit.penalty, fit.total))
+    return _digest(rows)
+
+
 class TestEvaluate:
     def test_single_cluster_no_imbalance(self):
         pool = [NodeSpec("a", 2000, 1e6), NodeSpec("b", 500, 1e6)]
@@ -34,16 +87,19 @@ class TestEvaluate:
         assert fit.imbalance == 0.0
         assert fit.penalty == 0.0
 
-    def test_fixture_matches_independent_oracle(self):
-        rng = np.random.Generator(np.random.Philox(key=77))
-        pool = random_pool(rng, 4)
-        fp = small_footprint(3000.0)
-        for assignment in ([1, 1, 2, 2], [1, 2, 1, 2], [2, 2, 2, 1]):
-            fit = evaluate(assignment, pool, fp, q=2)
-            imb, pen, total = oracle.oracle_fitness(assignment, pool, fp, 2)
-            assert fit.imbalance == pytest.approx(imb, rel=1e-12)
-            assert fit.penalty == pytest.approx(pen, rel=1e-12)
-            assert fit.total == pytest.approx(total, rel=1e-12)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4),
+           st.floats(0.1, 2.5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fixture_matches_independent_oracle(self, seed, n, q, m_factor, data):
+        # M from 0.1x to 2.5x the mean cluster RAM, and q may exceed n, so
+        # empty and RAM-short clusters both occur
+        pool, fp = _guard_pool(seed, n, q, m_factor)
+        assignment = data.draw(st.lists(st.integers(1, q), min_size=n, max_size=n))
+        fit = evaluate(assignment, pool, fp, q)
+        imb, pen, total = oracle.oracle_fitness(assignment, pool, fp, q)
+        assert fit.imbalance == pytest.approx(imb, rel=1e-12)
+        assert fit.penalty == pytest.approx(pen, rel=1e-12)
+        assert fit.total == pytest.approx(total, rel=1e-12)
 
     def test_empty_cluster_penalized(self):
         pool = [NodeSpec("a", 2000, 1e6), NodeSpec("b", 2000, 1e6)]
@@ -121,6 +177,27 @@ class TestEvolve:
         pool = [NodeSpec("a", 100, 1e6)]
         with pytest.raises(ConfigError):
             evolve(pool, small_footprint(), 2, GAParams())
+
+
+class TestBitIdentity:
+    """Pinned at the scalar reference implementation: any reordering of the
+    GA's RNG draws or of the fitness arithmetic changes these digests."""
+
+    def test_evolve_digests_pinned(self):
+        assert _evolve_digests() == [
+            "578ea219b0d068d1b29726c80737f41c5092bcd76f46ed1104e56c9e4c7d1731",
+            "dbb7760c402bbdcdd9315c7f664d7a1857949f6f409966fd5bba2706fa1dc185",
+            "7ba979fa4bc3f2e33396f4bfa406272cf31f1223201727f3698ec3ce06783209",
+            "beeafac6f631a6e5710609695e0addc64b89fb324f5fb560e88233d18fe0b2d9",
+            "22b6dfecf4c3dcd6230b075872e91ad7b59f8c6e6382c356402aeb8ad6c6af5a",
+            "2db43fdab92efd9935dab673ab0d57e60dd9a258f9d3f53a2ada05ca3a09719b",
+            "e0cfe5a99cccf166827fedb2608e5ca68cbacd5aacd584b643ec7f2dbf4d00ee",
+        ]
+
+    def test_evaluate_digest_pinned(self):
+        assert _evaluate_digest() == (
+            "3462d37b2f96dbb97c8daa3984262ced938a1a7b73f85e175401c1dd1fef9f1c"
+        )
 
 
 class TestExhaustive:
