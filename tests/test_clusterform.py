@@ -50,30 +50,6 @@ def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def _evolve_digests():
-    digests = []
-    for seed, n, q, m_factor, params in GUARD_CASES:
-        pool, fp = _guard_pool(seed, n, q, m_factor)
-        res = evolve(pool, fp, q, params)
-        digests.append(_digest((res.best, res.history, res.fitness)))
-    return digests
-
-
-def _evaluate_digest():
-    """Fitness of 400 seeded random rows, q up to n + 1 so some clusters
-    are empty and M up to 2.5x the mean cluster RAM so some are short."""
-    rng = np.random.Generator(np.random.Philox(key=4242))
-    rows = []
-    for _ in range(400):
-        n = int(rng.integers(1, 9))
-        q = int(rng.integers(1, min(n + 1, 4) + 1))
-        pool, fp = _guard_pool(int(rng.integers(2**31)), n, q, float(rng.uniform(0.1, 2.5)))
-        assignment = rng.integers(1, q + 1, size=n).tolist()
-        fit = evaluate(assignment, pool, fp, q)
-        rows.append((fit.imbalance, fit.penalty, fit.total))
-    return _digest(rows)
-
-
 class TestEvaluate:
     def test_single_cluster_no_imbalance(self):
         pool = [NodeSpec("a", 2000, 1e6), NodeSpec("b", 500, 1e6)]
@@ -178,13 +154,27 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             evolve(pool, small_footprint(), 2, GAParams())
 
+    @pytest.mark.parametrize("bad", [
+        {"tournament_k": 0}, {"tournament_k": -2}, {"elitism_k": -3}, {"elitism_k": 9},
+        {"crossover_rate": 1.5}, {"mutation_rate": -0.1}, {"mutation_rate": float("nan")},
+    ])
+    def test_out_of_range_params_rejected(self, bad):
+        pool = [NodeSpec("a", 2000, 1e6), NodeSpec("b", 2000, 1e6)]
+        with pytest.raises(ConfigError):
+            evolve(pool, small_footprint(), 2, GAParams(pop_size=8, generations=2, **bad))
+
 
 class TestBitIdentity:
     """Pinned at the scalar reference implementation: any reordering of the
     GA's RNG draws or of the fitness arithmetic changes these digests."""
 
     def test_evolve_digests_pinned(self):
-        assert _evolve_digests() == [
+        digests = []
+        for seed, n, q, m_factor, params in GUARD_CASES:
+            pool, fp = _guard_pool(seed, n, q, m_factor)
+            res = evolve(pool, fp, q, params)
+            digests.append(_digest((res.best, res.history, res.fitness)))
+        assert digests == [
             "578ea219b0d068d1b29726c80737f41c5092bcd76f46ed1104e56c9e4c7d1731",
             "dbb7760c402bbdcdd9315c7f664d7a1857949f6f409966fd5bba2706fa1dc185",
             "7ba979fa4bc3f2e33396f4bfa406272cf31f1223201727f3698ec3ce06783209",
@@ -195,10 +185,20 @@ class TestBitIdentity:
         ]
 
     def test_evaluate_digest_pinned(self):
-        assert _evaluate_digest() == (
+        # 400 seeded rows; q up to n + 1 so some clusters are empty, and M up
+        # to 2.5x the mean cluster RAM so some are short
+        rng = np.random.Generator(np.random.Philox(key=4242))
+        rows = []
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            q = int(rng.integers(1, min(n + 1, 4) + 1))
+            pool, fp = _guard_pool(int(rng.integers(2**31)), n, q, float(rng.uniform(0.1, 2.5)))
+            assignment = rng.integers(1, q + 1, size=n).tolist()
+            fit = evaluate(assignment, pool, fp, q)
+            rows.append((fit.imbalance, fit.penalty, fit.total))
+        assert _digest(rows) == (
             "3462d37b2f96dbb97c8daa3984262ced938a1a7b73f85e175401c1dd1fef9f1c"
         )
-
 
 class TestExhaustive:
     def test_two_nodes_forced(self):
