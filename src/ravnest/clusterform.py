@@ -29,8 +29,8 @@ def validate_pool(pool: Sequence[NodeSpec]) -> None:
         if node.node_id in seen:
             raise ConfigError(f"duplicate node id {node.node_id!r}")
         seen.add(node.node_id)
-        if node.ram_bytes <= 0 or node.bandwidth_Bps <= 0:
-            raise ConfigError(f"node {node.node_id!r} needs positive ram and bandwidth")
+        if not (node.ram_bytes > 0 and node.bandwidth_Bps > 0 and node.speed_factor > 0):
+            raise ConfigError(f"node {node.node_id!r} needs positive ram, bandwidth and speed")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class ModelFootprint:
     param_bytes: float
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ConfigError(f"footprint must be positive, got {self}")
+        if self.batch_size < 1 or self.M <= 0:
+            raise ConfigError(f"footprint needs batch_size >= 1 and positive M, got {self}")
 
     @property
     def M(self) -> float:
@@ -283,6 +283,8 @@ def plan_session(
             )
         assignment = res.best
     assignment = tuple(int(c) for c in assignment)
+    if len(assignment) != len(pool) or not set(assignment) <= set(range(1, q + 1)):
+        raise ConfigError(f"assignment {assignment} must map {len(pool)} nodes into 1..{q}")
 
     members: dict[int, list[NodeSpec]] = {cid: [] for cid in range(1, q + 1)}
     for node, cid in zip(pool, assignment):

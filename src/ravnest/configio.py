@@ -12,15 +12,17 @@ import configparser
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import modelcore
-from .clusterform import GAParams, ModelFootprint, SessionPlan
-from .errors import ConfigError, LayoutError, SchemaError
-from .modelcore import ModelSpec, SubmodelSpec
-from .multiring import Ring, RingSchedule, validate_schedule
+from .clusterform import GAParams, ModelFootprint, SessionPlan, plan_session
+from .errors import (
+    ConfigError, InfeasibleError, LayoutError, PartitionError, SchemaError, TopologyError,
+)
+from .modelcore import ModelSpec
 from .orchestrator import TrainConfig
 from .simnet import LinkSpec, NodeSpec
 
@@ -131,7 +133,10 @@ def parse_topology(text: str):
         for end in (src, dst):
             if end not in nodes:
                 raise SchemaError(f"link references unknown node {end!r}")
-        links[(src, dst)] = LinkSpec(src, dst, float(parts[2]), float(parts[3]))
+        try:
+            links[(src, dst)] = LinkSpec(src, dst, float(parts[2]), float(parts[3]))
+        except (TopologyError, ValueError) as exc:
+            raise SchemaError(f"link row {line!r}: {exc}") from None
     if not nodes:
         raise SchemaError("topology holds no nodes")
     return nodes, links, latency
@@ -188,12 +193,23 @@ def serialize_plan(plan: SessionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+# columns of the plan sections that parse_plan derives instead of reading
+_DERIVED_PLAN_COLUMNS = {
+    "pipelines": "cluster_id node_id...",
+    "layouts": "cluster_id peer layer_lo layer_hi param_start param_len",
+    "rings": "ring_id start length cluster:peer,...",
+}
+
+
 def parse_plan(text: str) -> SessionPlan:
+    """Read ``[meta]``, ``[nodes]`` and ``[assignment]``, and rebuild the plan
+    from them with ``plan_session``. The file's ``[pipelines]``, ``[layouts]``
+    and ``[rings]`` rows must equal the rebuilt ones."""
     first = text.splitlines()[0].strip() if text.splitlines() else ""
     if first != f"# schema: {PLAN_SCHEMA}":
         raise SchemaError(f"not a {PLAN_SCHEMA} file (got {first!r})")
     secs = _sections(text)
-    needed = {"meta", "nodes", "assignment", "pipelines", "layouts", "rings"}
+    needed = {"meta", "nodes", "assignment", *_DERIVED_PLAN_COLUMNS}
     if set(secs) != needed:
         raise SchemaError(f"plan needs sections {sorted(needed)}, got {sorted(secs)}")
     meta_keys = ("q", "arch", "activation", "loss", "batch_size")
@@ -202,63 +218,32 @@ def parse_plan(text: str) -> SessionPlan:
     model = modelcore.model_spec(arch, meta["activation"], meta["loss"])
     (batch_size,) = _ints([meta["batch_size"]], "plan meta batch_size")
     (q,) = _ints([meta["q"]], "plan meta q")
-    footprint = ModelFootprint.from_model(model, batch_size)
 
-    nodes = {n.node_id: n for n in map(_node_row, secs["nodes"])}
-    assignment = []
-    if len(secs["assignment"]) != len(nodes):
+    pool = [_node_row(line) for line in secs["nodes"]]
+    if len(secs["assignment"]) != len(pool):
         raise SchemaError("assignment rows do not match the node list")
-    for line, expected in zip(secs["assignment"], nodes):
+    assignment = []
+    for line, node in zip(secs["assignment"], pool):
         node_id, *cid = line.split()
-        if node_id != expected:
+        if node_id != node.node_id:
             raise SchemaError(
-                f"assignment rows out of order: {node_id!r} where {expected!r} expected"
+                f"assignment rows out of order: {node_id!r} where {node.node_id!r} expected"
             )
         assignment += _ints(cid, f"assignment row {line!r}", 1)
-    pipelines: dict[int, list[str]] = {}
-    for line in secs["pipelines"]:
-        cid, *members = line.split()
-        (cid,) = _ints([cid], f"pipeline row {line!r}")
-        pipelines[cid] = members
-    layouts: dict[int, list[SubmodelSpec]] = {cid: [] for cid in pipelines}
-    for line in secs["layouts"]:
-        cid, peer, lo, hi, pstart, plen = _ints(line.split(), f"layout row {line!r}", 6)
-        if cid not in layouts:
-            raise SchemaError(f"layout row for cluster {cid}, which has no pipeline")
-        if not 0 <= lo < hi <= len(model.layers):
-            raise SchemaError(f"layout row {line!r}: layers [{lo}, {hi}) outside the model")
-        sub = modelcore.make_submodel(model, lo, hi, pstart)
-        if sub.param_len != plen:
-            raise SchemaError(
-                f"layout row for cluster {cid} peer {peer}: param_len {plen} "
-                f"does not match the architecture ({sub.param_len})"
-            )
-        if len(layouts[cid]) != peer:
-            raise SchemaError(f"layout rows for cluster {cid} out of order")
-        layouts[cid].append(sub)
-    rings = []
-    for line in secs["rings"]:
-        *head, members = line.split()
-        rid, start, length = _ints(head, f"ring row {line!r}", 3)
-        pairs = tuple(
-            tuple(_ints(m.split(":"), f"ring member {m!r}", 2)) for m in members.split(",")
-        )
-        rings.append(Ring(rid, start, length, pairs))
-    schedule = RingSchedule(tuple(rings), model.param_count)
     try:
-        validate_schedule(schedule, layouts)
-    except LayoutError as exc:
-        raise SchemaError(f"plan rings: {exc}") from exc
-    plan = SessionPlan(
-        q=q,
-        assignment=tuple(assignment),
-        nodes=nodes,
-        pipelines=pipelines,
-        layouts=layouts,
-        ring_schedule=schedule,
-        model=model,
-        footprint=footprint,
-    )
+        footprint = ModelFootprint.from_model(model, batch_size)
+        plan = plan_session(pool, footprint, q, model, assignment=assignment)
+    except (ConfigError, InfeasibleError, PartitionError, LayoutError) as exc:
+        raise SchemaError(f"plan: {exc}") from exc
+
+    derived = _sections(serialize_plan(plan))
+    for name, columns in _DERIVED_PLAN_COLUMNS.items():
+        for found, expected in zip_longest(secs[name], derived[name], fillvalue=""):
+            if found.split() != expected.split():
+                raise SchemaError(
+                    f"plan [{name}] has row {found!r} where [assignment] gives {expected!r} "
+                    f"(columns: {columns})"
+                )
     return plan
 
 
@@ -362,15 +347,13 @@ def _read_experiment_config(path: Path) -> ExperimentConfig:
     train_sec = cp["train"]
     eta_raw = train_sec.get("eta", "auto").strip()
     eta: float | str = "auto" if eta_raw == "auto" else float(eta_raw)
-    max_inflight = train_sec.getint("max_inflight", 0)
-    max_events = train_sec.getint("max_events", 0)
     train = TrainConfig(
         eta=eta,
         kappa=train_sec.getint("kappa"),
         k_target=train_sec.getint("k_target"),
         batch_size=train_sec.getint("batch_size"),
         n_accum=train_sec.getint("n_accum", 1),
-        max_inflight=max_inflight if max_inflight > 0 else None,
+        max_inflight=train_sec.getint("max_inflight", 0) or None,
         enforce_T=train_sec.getboolean("enforce_t", False),
         T_bound=train_sec.getint("t_bound", 0),
         barrier_mode=train_sec.get("barrier_mode", "drain"),
@@ -378,7 +361,7 @@ def _read_experiment_config(path: Path) -> ExperimentConfig:
         fwd_cost_coeff=train_sec.getfloat("fwd_cost_coeff", 1e-9),
         bwd_cost_ratio=train_sec.getfloat("bwd_cost_ratio", 2.0),
         default_latency=latency_override if latency_override is not None else topo_latency,
-        max_events=max_events if max_events > 0 else None,
+        max_events=train_sec.getint("max_events", 0) or None,
         trace_enabled=train_sec.getboolean("trace_enabled", False),
     )
     ga = GAParams(seed=train.seed)
@@ -437,7 +420,7 @@ def resolved_config_text(cfg: ExperimentConfig) -> str:
         f"file = {cfg.topology_path if cfg.topology_path else ''}",
         f"default_latency = {t.default_latency!r}",
         "[train]",
-        f"eta = {t.eta!r}",
+        f"eta = {t.eta}",
         f"kappa = {t.kappa}",
         f"k_target = {t.k_target}",
         f"batch_size = {t.batch_size}",
@@ -448,6 +431,8 @@ def resolved_config_text(cfg: ExperimentConfig) -> str:
         f"barrier_mode = {t.barrier_mode}",
         f"fwd_cost_coeff = {t.fwd_cost_coeff!r}",
         f"bwd_cost_ratio = {t.bwd_cost_ratio!r}",
+        f"max_events = {t.max_events or 0}",
+        f"trace_enabled = {str(t.trace_enabled).lower()}",
         "[ga]",
         f"pop_size = {cfg.ga.pop_size}",
         f"generations = {cfg.ga.generations}",

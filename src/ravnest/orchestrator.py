@@ -60,12 +60,17 @@ class TrainConfig:
             raise ConfigError(f"kappa must be >= 1, got {self.kappa}")
         if self.k_target < 1 or self.batch_size < 1 or self.n_accum < 1:
             raise ConfigError("k_target, batch_size and n_accum must be positive")
+        for key in ("max_inflight", "max_events", "T_bound", "fwd_cost_coeff",
+                    "bwd_cost_ratio", "default_latency"):
+            value = getattr(self, key) or 0  # None: one slot per stage, no event budget
+            if not value >= 0:
+                raise ConfigError(f"{key.lower()} must be >= 0, got {value}")
         if self.barrier_mode not in ("drain", "snapshot"):
             raise ConfigError(f"unknown barrier_mode {self.barrier_mode!r}")
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ConfigError(f"eta must be a number or 'auto', got {self.eta!r}")
-        elif self.eta < 0:
+        elif not self.eta >= 0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
         c = len(peers_per_cluster)
         if self.k_target % c != 0:

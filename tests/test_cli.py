@@ -186,6 +186,32 @@ class TestTrain:
         kinds = {row.split(",")[1] for row in lines[2:]}
         assert {"activation", "gradient", "ring_chunk", "control"} <= kinds
 
+    def test_resolved_config_reproduces_the_run(self, workdir):
+        text = CONFIG.format(out=workdir / "runs").replace("eta = 0.05", "eta = auto")
+        (workdir / "auto.ini").write_text(text + "trace_enabled = true\n")
+        first, again = workdir / "first", workdir / "again"
+        assert cli.main(["train", "--config", str(workdir / "auto.ini"),
+                         "--out", str(first)]) == 0
+        assert cli.main(["train", "--config", str(first / "config.resolved.txt"),
+                         "--out", str(again)]) == 0
+        for name in ("metrics.csv", "trace.csv", "config.resolved.txt"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_formed_plan_reproduces_the_planned_run(self, workdir):
+        assert cli.main([
+            "form", "--inventory", str(workdir / "inventory.txt"),
+            "--model-footprint", str(workdir / "footprint.txt"),
+            "--q", "2", "--seed", "11", "--out", str(workdir / "plan"),
+        ]) == 0
+        formed = workdir / "plan" / "plan.txt"
+        planned, read = workdir / "planned", workdir / "read"
+        assert cli.main(["train", "--config", str(workdir / "exp.ini"),
+                         "--out", str(planned)]) == 0
+        assert cli.main(["train", "--config", str(workdir / "exp.ini"),
+                         "--plan", str(formed), "--out", str(read)]) == 0
+        assert (read / "plan.txt").read_bytes() == formed.read_bytes()
+        assert (read / "metrics.csv").read_bytes() == (planned / "metrics.csv").read_bytes()
+
 
 class TestBench:
     def test_three_clusters_four_rounds(self, capsys):
@@ -369,6 +395,91 @@ def _ga_elitism_k_above_pop_size(w):
     return _config_with_ga(w, "elitism_k = 100")
 
 
+def _plan_for_matching_config(w, old, new):
+    """_plan with the config's arch set to the plan's, so that only the plan can fail."""
+    text = CONFIG.format(out=w / "runs").replace("arch = 4,4,4,4,4", "arch = 4,4,4")
+    (w / "exp.ini").write_text(text)
+    return _plan(w, old, new)
+
+
+def _plan_unknown_pipeline_node(w):
+    return _plan_for_matching_config(w, "1 c1n0 c1n1\n", "1 c1n0 c9n9\n")
+
+
+def _plan_negative_speed(w):
+    return _plan_for_matching_config(w, " 1.0\n[assignment]", " -1.0\n[assignment]")
+
+
+def _plan_q_above_pipelines(w):
+    return _plan_for_matching_config(w, "q = 2\n", "q = 5\n")
+
+
+def _plan_assignment_contradicts_pipelines(w):
+    return _plan_for_matching_config(w, "c1n1 1\nc2n0 2\n", "c1n1 2\nc2n0 1\n")
+
+
+def _plan_assignment_outside_q(w):
+    return _plan_for_matching_config(w, "c1n0 1\n", "c1n0 7\n")
+
+
+def _plan_zero_batch_size(w):
+    return _plan_for_matching_config(w, "batch_size = 2\n", "batch_size = 0\n")
+
+
+def _config_with_topology(w, topology):
+    (w / "topology.txt").write_text(topology)
+    text = CONFIG.format(out=w / "runs") + "\n[topology]\nfile = topology.txt\n"
+    (w / "exp.ini").write_text(text)
+    return _train(w, "--dry-run")
+
+
+def _topology_link_negative_latency(w):
+    return _config_with_topology(w, "[nodes]\n" + INVENTORY + "[links]\nn0 n1 -0.001 1e6\n")
+
+
+def _topology_link_zero_bandwidth(w):
+    return _config_with_topology(w, "[nodes]\n" + INVENTORY + "[links]\nn0 n1 0.001 0\n")
+
+
+def _topology_node_zero_speed(w):
+    nodes = INVENTORY.replace("n1 4000 1e6 1.0", "n1 4000 1e6 0.0")
+    return _config_with_topology(w, "[nodes]\n" + nodes)
+
+
+def _config_with_train(w, lines):
+    (w / "exp.ini").write_text(CONFIG.format(out=w / "runs") + lines)
+    return _train(w, "--dry-run")
+
+
+def _train_negative_fwd_cost(w):
+    return _config_with_train(w, "fwd_cost_coeff = -1e-9\n")
+
+
+def _train_negative_bwd_ratio(w):
+    return _config_with_train(w, "bwd_cost_ratio = -2\n")
+
+
+def _train_negative_default_latency(w):
+    return _config_with_train(w, "\n[topology]\ndefault_latency = -0.001\n")
+
+
+def _train_enforced_negative_t_bound(w):
+    return _config_with_train(w, "enforce_t = true\nt_bound = -1\n")
+
+
+def _train_negative_max_inflight(w):
+    return _config_with_train(w, "max_inflight = -1\n")
+
+
+def _train_negative_max_events(w):
+    return _config_with_train(w, "max_events = -5\n")
+
+
+def _train_nan_eta(w):
+    (w / "exp.ini").write_text(CONFIG.format(out=w / "runs").replace("eta = 0.05", "eta = nan"))
+    return _train(w, "--dry-run")
+
+
 @pytest.mark.parametrize("malformed", [
     _non_numeric_kappa,
     _non_numeric_inventory_train,
@@ -388,6 +499,22 @@ def _ga_elitism_k_above_pop_size(w):
     _plan_extra_layouts_row,
     _ga_tournament_k_zero,
     _ga_elitism_k_above_pop_size,
+    _plan_unknown_pipeline_node,
+    _plan_negative_speed,
+    _plan_q_above_pipelines,
+    _plan_assignment_contradicts_pipelines,
+    _plan_assignment_outside_q,
+    _plan_zero_batch_size,
+    _topology_link_negative_latency,
+    _topology_link_zero_bandwidth,
+    _topology_node_zero_speed,
+    _train_negative_fwd_cost,
+    _train_negative_bwd_ratio,
+    _train_negative_default_latency,
+    _train_enforced_negative_t_bound,
+    _train_negative_max_inflight,
+    _train_negative_max_events,
+    _train_nan_eta,
 ])
 def test_malformed_input_exits_one_with_one_error_line(workdir, capsys, malformed):
     rc = cli.main(malformed(workdir))

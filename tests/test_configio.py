@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_plan
 from ravnest import configio
@@ -137,6 +141,29 @@ class TestPlanFile:
         parts[-1] = str(int(parts[-1]) + 1)
         lines[idx] = " ".join(parts)
         with pytest.raises(SchemaError, match="param_len"):
+            configio.parse_plan("\n".join(lines) + "\n")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        peer_counts=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        speeds=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_round_trip_and_any_changed_derived_integer_rejected(self, peer_counts, speeds, data):
+        text = configio.serialize_plan(tiny_plan(peer_counts, speed_factors=tuple(speeds))[2])
+        assert configio.serialize_plan(configio.parse_plan(text)) == text
+        lines = text.splitlines()
+        integers = []  # (line index, match) of every integer in a derived section's rows
+        section = None
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line
+            elif section in ("[pipelines]", "[layouts]", "[rings]"):
+                integers += [(i, m) for m in re.finditer(r"\d+", line)]
+        i, m = data.draw(st.sampled_from(integers))
+        value = data.draw(st.integers(0, 99).filter(lambda v: v != int(m.group())))
+        lines[i] = lines[i][:m.start()] + str(value) + lines[i][m.end():]
+        with pytest.raises(SchemaError):
             configio.parse_plan("\n".join(lines) + "\n")
 
 
