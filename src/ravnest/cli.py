@@ -8,6 +8,7 @@ RAVNEST_SEED overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,12 +38,14 @@ EXIT_VIOLATION = 3
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("RAVNEST_SEED")
-    if env is None:
-        return seed
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"RAVNEST_SEED must be an integer, got {env!r}") from exc
+    if env is not None:
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"RAVNEST_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _load_config(path) -> configio.ExperimentConfig:
@@ -152,10 +155,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_allreduce_bench(args) -> int:
-    sizes = [float(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
+    try:
+        sizes = [float(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--sizes must be byte counts, got {args.sizes!r}") from None
     if not sizes:
-        print("error: --sizes requires at least one byte count", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--sizes requires at least one byte count")
+    if not all(0 < size < math.inf for size in sizes):
+        raise ConfigError(f"--sizes must be positive and finite, got {args.sizes!r}")
+    # one cluster has no all-reduce, and its zero-cost baseline has no ratio
+    if args.clusters < 2 or args.rings < 1:
+        raise ConfigError("--clusters must be >= 2 and --rings >= 1")
+    if not (0 < args.bandwidth < math.inf and 0 <= args.latency < math.inf):
+        raise ConfigError("--bandwidth must be positive and --latency >= 0, both finite")
     rows = ["clusters,rings,param_bytes,rounds,bytes_per_member,multi_ring_s,single_ring_s,ratio"]
     for size in sizes:
         n_params = max(args.rings, int(size // 8))
@@ -194,7 +206,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [int(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--values must be integers, got {args.values!r}") from None
     if not values:
         print("error: --values requires at least one entry", file=sys.stderr)
         return EXIT_USAGE

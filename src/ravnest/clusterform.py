@@ -171,7 +171,7 @@ def evolve(
         raise ConfigError("tournament_k >= 1 and 0 <= elitism_k <= pop_size required")
     if not (0.0 <= params.crossover_rate <= 1.0 and 0.0 <= params.mutation_rate <= 1.0):
         raise ConfigError("crossover_rate and mutation_rate must lie in [0, 1]")
-    if q > n:
+    if not 1 <= q <= n:
         raise ConfigError(f"cannot form {q} non-empty clusters from {n} nodes")
     provably_infeasible = sum(node.ram_bytes for node in pool) < q * footprint.M
 

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import zip_longest
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import modelcore
+from . import data, modelcore
 from .clusterform import GAParams, ModelFootprint, SessionPlan, plan_session
 from .errors import (
     ConfigError, InfeasibleError, LayoutError, PartitionError, SchemaError, TopologyError,
@@ -251,19 +254,19 @@ def parse_plan(text: str) -> SessionPlan:
 # experiment config
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    name: str
-    seed: int
-    out_dir: str
+    name: str  # the config file's stem when the config leaves it out
+    seed: int = 0
+    out_dir: str = "runs"
     arch: list[int]
-    activation: str
-    loss: str
+    activation: str = "tanh"
+    loss: str = "mse"
     generator: str
     n_samples: int
-    noise: float
+    noise: float = 0.0
     inventory_path: Path
-    topology_path: Path | None
+    topology_path: Path | None = None
     q: int
     train: TrainConfig
     ga: GAParams = field(default_factory=GAParams)
@@ -273,174 +276,141 @@ class ExperimentConfig:
         return modelcore.model_spec(self.arch, self.activation, self.loss)
 
 
-_CONFIG_KEYS = {
-    "experiment": {"name", "seed", "out_dir"},
-    "model": {"arch", "activation", "loss"},
-    "data": {"generator", "n_samples", "noise"},
-    "cluster": {"inventory", "q"},
-    "topology": {"file", "default_latency"},
-    "train": {
-        "eta", "kappa", "k_target", "batch_size", "n_accum", "max_inflight",
-        "enforce_t", "t_bound", "barrier_mode", "fwd_cost_coeff", "bwd_cost_ratio",
-        "max_events", "trace_enabled",
-    },
-    "ga": {"pop_size", "generations", "crossover_rate", "mutation_rate", "elitism_k",
-           "tournament_k"},
-}
-# keys without a default, per required section
-_REQUIRED_CONFIG_KEYS = {
-    "experiment": (),
-    "model": ("arch",),
-    "data": ("generator", "n_samples"),
-    "cluster": ("inventory", "q"),
-    "train": ("kappa", "k_target", "batch_size"),
+class ConfigKey(NamedTuple):
+    """One experiment-config key. ``target`` is an ExperimentConfig field or
+    ``train.<field>`` / ``ga.<field>``; the field's default is the key's
+    default, and a field without one makes the key required. ``check`` is an
+    optional (predicate, domain) pair that each read value must satisfy."""
+
+    section: str
+    key: str
+    target: str
+    parse: Callable[[str], Any] = str
+    text: Callable[[Any], str] = str
+    check: tuple[Callable[[Any], bool], str] | None = None
+
+
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+_POSITIVE = (lambda v: v >= 1, ">= 1")
+_EXISTING_FILE = (lambda p: p is None or p.is_file(), "an existing file")
+
+CONFIG_SCHEMA = (
+    ConfigKey("experiment", "name", "name"),
+    ConfigKey("experiment", "seed", "seed", int, check=(lambda v: v >= 0, ">= 0")),
+    ConfigKey("experiment", "out_dir", "out_dir"),
+    ConfigKey("model", "arch", "arch", lambda s: [int(a) for a in s.split(",")],
+              lambda arch: ",".join(str(a) for a in arch)),
+    ConfigKey("model", "activation", "activation"),
+    ConfigKey("model", "loss", "loss"),
+    ConfigKey("data", "generator", "generator",
+              check=(lambda v: v in data.GENERATORS, f"one of {', '.join(data.GENERATORS)}")),
+    ConfigKey("data", "n_samples", "n_samples", int, check=_POSITIVE),
+    ConfigKey("data", "noise", "noise", float, check=_FINITE_NON_NEGATIVE),
+    ConfigKey("cluster", "inventory", "inventory_path", Path, check=_EXISTING_FILE),
+    ConfigKey("cluster", "q", "q", int, check=_POSITIVE),
+    ConfigKey("topology", "file", "topology_path", lambda s: Path(s) if s else None,
+              lambda p: str(p or ""), _EXISTING_FILE),
+    ConfigKey("topology", "default_latency", "train.default_latency", float,
+              check=_FINITE_NON_NEGATIVE),
+    ConfigKey("train", "eta", "train.eta", lambda s: s if s == "auto" else float(s),
+              check=(lambda v: v == "auto" or 0 <= v < math.inf, "auto, or finite and >= 0")),
+    ConfigKey("train", "kappa", "train.kappa", int),
+    ConfigKey("train", "k_target", "train.k_target", int),
+    ConfigKey("train", "batch_size", "train.batch_size", int),
+    ConfigKey("train", "n_accum", "train.n_accum", int),
+    ConfigKey("train", "max_inflight", "train.max_inflight", lambda s: int(s) or None,
+              lambda v: str(v or 0)),
+    ConfigKey("train", "enforce_t", "train.enforce_T", _bool, lambda b: str(b).lower()),
+    ConfigKey("train", "t_bound", "train.T_bound", int),
+    ConfigKey("train", "barrier_mode", "train.barrier_mode"),
+    ConfigKey("train", "fwd_cost_coeff", "train.fwd_cost_coeff", float,
+              check=_FINITE_NON_NEGATIVE),
+    ConfigKey("train", "bwd_cost_ratio", "train.bwd_cost_ratio", float,
+              check=_FINITE_NON_NEGATIVE),
+    ConfigKey("train", "max_events", "train.max_events", lambda s: int(s) or None,
+              lambda v: str(v or 0)),
+    ConfigKey("train", "trace_enabled", "train.trace_enabled", _bool, lambda b: str(b).lower()),
+    ConfigKey("ga", "pop_size", "ga.pop_size", int),
+    ConfigKey("ga", "generations", "ga.generations", int),
+    ConfigKey("ga", "crossover_rate", "ga.crossover_rate", float),
+    ConfigKey("ga", "mutation_rate", "ga.mutation_rate", float),
+    ConfigKey("ga", "elitism_k", "ga.elitism_k", int),
+    ConfigKey("ga", "tournament_k", "ga.tournament_k", int),
+)
+# targets whose field has no default, so their key must be given
+_REQUIRED_TARGETS = {
+    prefix + f.name
+    for prefix, cls in (("", ExperimentConfig), ("train.", TrainConfig), ("ga.", GAParams))
+    for f in fields(cls)
+    if f.default is MISSING and f.default_factory is MISSING
 }
 
 
 def parse_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Strict INI parse: unknown sections or keys are rejected, referenced
-    files must exist, values must convert to their types, numeric ranges are
-    validated downstream."""
+    """Strict INI parse over ``CONFIG_SCHEMA``: unknown sections or keys are
+    rejected, each value must convert to its type and lie in its domain, and
+    referenced files, relative to the config file, must exist. Cross-key rules
+    are left to ``TrainConfig.validate`` and ``evolve``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    values: dict[str, dict] = {"": {"name": path.stem}, "train": {}, "ga": {}}
     try:
-        return _read_experiment_config(path)
+        cp.read(path)
+        for section in cp.sections():
+            keys = {row.key for row in CONFIG_SCHEMA if row.section == section}
+            if not keys:
+                raise ConfigError(f"unknown config section [{section}]")
+            unknown = set(cp[section]) - keys
+            if unknown:
+                raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        if "experiment" not in cp:  # required although each of its keys has a default
+            raise ConfigError("config missing section [experiment]")
+        for row in CONFIG_SCHEMA:
+            owner, _, attr = row.target.rpartition(".")
+            raw = cp.get(row.section, row.key, fallback=None)
+            if raw is None:
+                if row.target in _REQUIRED_TARGETS and attr not in values[owner]:
+                    raise ConfigError(f"config [{row.section}] missing key {row.key!r}")
+                continue
+            try:
+                value = row.parse(raw)
+                if isinstance(value, Path):
+                    value = (path.parent / value).resolve()
+                if row.check and not row.check[0](value):
+                    raise ValueError(f"must be {row.check[1]}")
+            except ValueError as exc:
+                raise ConfigError(f"config [{row.section}] {row.key} = {raw}: {exc}") from None
+            values[owner][attr] = value
+        top, train, ga = values.values()
+        if top.get("topology_path"):
+            _, top["link_overrides"], latency = parse_topology(top["topology_path"].read_text())
+            train.setdefault("default_latency", latency)
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} comes before any [section] header") from None
     except (configparser.Error, ValueError) as exc:
         # configparser messages span lines; the error contract is one line
         raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
-
-
-def _read_experiment_config(path: Path) -> ExperimentConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read(path)
-    for section in cp.sections():
-        if section not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(cp[section]) - _CONFIG_KEYS[section]
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    for required, keys in _REQUIRED_CONFIG_KEYS.items():
-        if required not in cp:
-            raise ConfigError(f"config missing section [{required}]")
-        for key in keys:
-            if key not in cp[required]:
-                raise ConfigError(f"config [{required}] missing key {key!r}")
-
-    exp = cp["experiment"]
-
-    inventory_path = (path.parent / cp["cluster"]["inventory"]).resolve()
-    if not inventory_path.exists():
-        raise ConfigError(f"inventory file not found: {inventory_path}")
-    topology_path = None
-    link_overrides: dict = {}
-    topo_latency = 0.0
-    if "topology" in cp and cp["topology"].get("file"):
-        topology_path = (path.parent / cp["topology"]["file"]).resolve()
-        if not topology_path.exists():
-            raise ConfigError(f"topology file not found: {topology_path}")
-        _, link_overrides, topo_latency = parse_topology(topology_path.read_text())
-    latency_override = cp.getfloat("topology", "default_latency", fallback=None)
-
-    train_sec = cp["train"]
-    eta_raw = train_sec.get("eta", "auto").strip()
-    eta: float | str = "auto" if eta_raw == "auto" else float(eta_raw)
-    train = TrainConfig(
-        eta=eta,
-        kappa=train_sec.getint("kappa"),
-        k_target=train_sec.getint("k_target"),
-        batch_size=train_sec.getint("batch_size"),
-        n_accum=train_sec.getint("n_accum", 1),
-        max_inflight=train_sec.getint("max_inflight", 0) or None,
-        enforce_T=train_sec.getboolean("enforce_t", False),
-        T_bound=train_sec.getint("t_bound", 0),
-        barrier_mode=train_sec.get("barrier_mode", "drain"),
-        seed=exp.getint("seed", 0),
-        fwd_cost_coeff=train_sec.getfloat("fwd_cost_coeff", 1e-9),
-        bwd_cost_ratio=train_sec.getfloat("bwd_cost_ratio", 2.0),
-        default_latency=latency_override if latency_override is not None else topo_latency,
-        max_events=train_sec.getint("max_events", 0) or None,
-        trace_enabled=train_sec.getboolean("trace_enabled", False),
-    )
-    ga = GAParams(seed=train.seed)
-    if "ga" in cp:
-        g = cp["ga"]
-        ga = GAParams(
-            pop_size=g.getint("pop_size", ga.pop_size),
-            generations=g.getint("generations", ga.generations),
-            crossover_rate=g.getfloat("crossover_rate", ga.crossover_rate),
-            mutation_rate=g.getfloat("mutation_rate", ga.mutation_rate),
-            elitism_k=g.getint("elitism_k", ga.elitism_k),
-            tournament_k=g.getint("tournament_k", ga.tournament_k),
-            seed=train.seed,
-        )
-
-    return ExperimentConfig(
-        name=exp.get("name", path.stem),
-        seed=train.seed,
-        out_dir=exp.get("out_dir", "runs"),
-        arch=[int(a) for a in cp["model"]["arch"].split(",")],
-        activation=cp["model"].get("activation", "tanh"),
-        loss=cp["model"].get("loss", "mse"),
-        generator=cp["data"]["generator"],
-        n_samples=cp["data"].getint("n_samples"),
-        noise=cp["data"].getfloat("noise", 0.0),
-        inventory_path=inventory_path,
-        topology_path=topology_path,
-        q=cp["cluster"].getint("q"),
-        train=train,
-        ga=ga,
-        link_overrides=link_overrides,
-    )
+    cfg = ExperimentConfig(**top, train=TrainConfig(**train), ga=GAParams(**ga))
+    cfg.train.seed = cfg.ga.seed = cfg.seed
+    return cfg
 
 
 def resolved_config_text(cfg: ExperimentConfig) -> str:
     """Canonical key=value dump of the fully resolved configuration."""
-    t = cfg.train
-    lines = [
-        "# schema: ravnest-config-resolved-v1",
-        "[experiment]",
-        f"name = {cfg.name}",
-        f"seed = {cfg.seed}",
-        f"out_dir = {cfg.out_dir}",
-        "[model]",
-        f"arch = {','.join(str(a) for a in cfg.arch)}",
-        f"activation = {cfg.activation}",
-        f"loss = {cfg.loss}",
-        "[data]",
-        f"generator = {cfg.generator}",
-        f"n_samples = {cfg.n_samples}",
-        f"noise = {cfg.noise!r}",
-        "[cluster]",
-        f"inventory = {cfg.inventory_path}",
-        f"q = {cfg.q}",
-        "[topology]",
-        f"file = {cfg.topology_path if cfg.topology_path else ''}",
-        f"default_latency = {t.default_latency!r}",
-        "[train]",
-        f"eta = {t.eta}",
-        f"kappa = {t.kappa}",
-        f"k_target = {t.k_target}",
-        f"batch_size = {t.batch_size}",
-        f"n_accum = {t.n_accum}",
-        f"max_inflight = {t.max_inflight if t.max_inflight else 0}",
-        f"enforce_t = {str(t.enforce_T).lower()}",
-        f"t_bound = {t.T_bound}",
-        f"barrier_mode = {t.barrier_mode}",
-        f"fwd_cost_coeff = {t.fwd_cost_coeff!r}",
-        f"bwd_cost_ratio = {t.bwd_cost_ratio!r}",
-        f"max_events = {t.max_events or 0}",
-        f"trace_enabled = {str(t.trace_enabled).lower()}",
-        "[ga]",
-        f"pop_size = {cfg.ga.pop_size}",
-        f"generations = {cfg.ga.generations}",
-        f"crossover_rate = {cfg.ga.crossover_rate!r}",
-        f"mutation_rate = {cfg.ga.mutation_rate!r}",
-        f"elitism_k = {cfg.ga.elitism_k}",
-        f"tournament_k = {cfg.ga.tournament_k}",
-    ]
+    lines = ["# schema: ravnest-config-resolved-v1"]
+    for row in CONFIG_SCHEMA:
+        if f"[{row.section}]" not in lines:
+            lines.append(f"[{row.section}]")
+        lines.append(f"{row.key} = {row.text(attrgetter(row.target)(cfg))}")
     return "\n".join(lines) + "\n"
 
 

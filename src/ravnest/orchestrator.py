@@ -36,9 +36,9 @@ from .simnet import Network
 METRICS_SCHEMA = "ravnest-metrics-v1"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrainConfig:
-    eta: float | str  # learning rate, or "auto" for the 1/sqrt(K) preset
+    eta: float | str = "auto"  # learning rate, or "auto" for the 1/sqrt(K) preset
     kappa: int
     k_target: int
     batch_size: int

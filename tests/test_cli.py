@@ -1,4 +1,6 @@
 import hashlib
+import os
+from unittest import mock
 
 import pytest
 
@@ -480,6 +482,98 @@ def _train_nan_eta(w):
     return _train(w, "--dry-run")
 
 
+def _config_replacing(w, old, new):
+    text = CONFIG.format(out=w / "runs")
+    assert old in text
+    (w / "exp.ini").write_text(text.replace(old, new))
+    return _train(w, "--dry-run")
+
+
+def _config_negative_noise(w):
+    return _config_replacing(w, "n_samples = 64\n", "n_samples = 64\nnoise = -1\n")
+
+
+def _config_zero_q(w):
+    return _config_replacing(w, "q = 2\n", "q = 0\n")
+
+
+def _config_negative_seed(w):
+    return _config_replacing(w, "seed = 11\n", "seed = -1\n")
+
+
+def _config_infinite_eta(w):
+    return _config_replacing(w, "eta = 0.05\n", "eta = inf\n")
+
+
+@pytest.fixture(autouse=True)
+def _environment_restored():
+    """A malformed-input case may set RAVNEST_SEED; no later test sees it."""
+    with mock.patch.dict(os.environ):
+        yield
+
+
+def _env_negative_seed(w):
+    os.environ["RAVNEST_SEED"] = "-1"
+    return _train(w, "--dry-run")
+
+
+def _form(w, *extra):
+    return ["form", "--inventory", str(w / "inventory.txt"),
+            "--model-footprint", str(w / "footprint.txt"), "--out", str(w / "plan"), *extra]
+
+
+def _form_zero_q(w):
+    return _form(w, "--q", "0")
+
+
+def _form_negative_q(w):
+    return _form(w, "--q", "-1")
+
+
+def _form_negative_seed(w):
+    return _form(w, "--q", "2", "--seed", "-1")
+
+
+def _sweep(w, values):
+    return ["sweep", "--config", str(w / "exp.ini"), "--values", values, "--out", str(w / "s")]
+
+
+def _sweep_zero_q(w):
+    return _sweep(w, "0")
+
+
+def _sweep_non_numeric_values(w):
+    return _sweep(w, "x")
+
+
+def _bench(*extra):
+    return ["allreduce-bench", "--sizes", "800", *extra]
+
+
+def _bench_zero_rings(w):
+    return _bench("--rings", "0")
+
+
+def _bench_zero_bandwidth(w):
+    return _bench("--bandwidth", "0")
+
+
+def _bench_zero_clusters(w):
+    return _bench("--clusters", "0")
+
+
+def _bench_one_cluster(w):
+    return _bench("--clusters", "1")
+
+
+def _bench_negative_latency(w):
+    return _bench("--latency", "-1")
+
+
+def _bench_non_numeric_sizes(w):
+    return _bench("--sizes", "x")
+
+
 @pytest.mark.parametrize("malformed", [
     _non_numeric_kappa,
     _non_numeric_inventory_train,
@@ -515,6 +609,22 @@ def _train_nan_eta(w):
     _train_negative_max_inflight,
     _train_negative_max_events,
     _train_nan_eta,
+    _config_negative_noise,
+    _config_zero_q,
+    _config_negative_seed,
+    _config_infinite_eta,
+    _env_negative_seed,
+    _form_zero_q,
+    _form_negative_q,
+    _form_negative_seed,
+    _sweep_zero_q,
+    _sweep_non_numeric_values,
+    _bench_zero_rings,
+    _bench_zero_bandwidth,
+    _bench_zero_clusters,
+    _bench_one_cluster,
+    _bench_negative_latency,
+    _bench_non_numeric_sizes,
 ])
 def test_malformed_input_exits_one_with_one_error_line(workdir, capsys, malformed):
     rc = cli.main(malformed(workdir))

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,118 @@ class TestExperimentConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             configio.parse_experiment_config(tmp_path / "nope.ini")
+
+
+# Per config key: a strategy for valid text, and text the reader must reject
+# (non-convertible or out of the key's domain). Both are written out here, not
+# read from configio.CONFIG_SCHEMA, so the schema is not its own oracle.
+_UNSIGNED = st.integers(0, 10**6).map(str)
+_COUNT = st.integers(1, 10**6).map(str)
+_AMOUNT = st.floats(0, 1e3).map(repr)  # finite and >= 0
+_RATE = st.floats(0, 1).map(repr)
+_BOOLEAN = st.sampled_from(["yes", "no", "on", "off", "true", "False", "1", "0"])
+_WORD = st.text("abc_-019", max_size=8)
+CONFIG_KEYS = {
+    ("experiment", "name"): (_WORD, []),
+    ("experiment", "seed"): (_UNSIGNED, ["-1", "x", "1.5"]),
+    ("experiment", "out_dir"): (_WORD, []),
+    ("model", "arch"): (st.lists(st.integers(1, 9), min_size=2, max_size=5).map(
+        lambda arch: ",".join(map(str, arch))), ["4,x", ""]),
+    ("model", "activation"): (st.sampled_from(["tanh", "relu"]), []),
+    ("model", "loss"): (st.sampled_from(["mse", "softmax_ce"]), []),
+    ("data", "generator"): (st.sampled_from(["linear", "mlp", "classify"]), ["spiral", ""]),
+    ("data", "n_samples"): (_COUNT, ["0", "-3", "x"]),
+    ("data", "noise"): (_AMOUNT, ["-1", "-0.5", "nan", "inf", "x"]),
+    ("cluster", "inventory"): (st.just("inventory.txt"), ["missing.txt"]),
+    ("cluster", "q"): (_COUNT, ["0", "-1", "two"]),
+    ("topology", "file"): (st.sampled_from(["", "topology.txt"]), ["missing.txt"]),
+    ("topology", "default_latency"): (_AMOUNT, ["-0.001", "inf", "nan", "x"]),
+    ("train", "eta"): (st.just("auto") | _AMOUNT, ["-1", "inf", "nan", "fast"]),
+    ("train", "kappa"): (_COUNT, ["x", "1.5"]),
+    ("train", "k_target"): (_COUNT, ["x"]),
+    ("train", "batch_size"): (_COUNT, ["x"]),
+    ("train", "n_accum"): (_COUNT, ["x"]),
+    ("train", "max_inflight"): (_UNSIGNED, ["x"]),
+    ("train", "enforce_t"): (_BOOLEAN, ["maybe", "2"]),
+    ("train", "t_bound"): (_UNSIGNED, ["x"]),
+    ("train", "barrier_mode"): (st.sampled_from(["drain", "snapshot"]), []),
+    ("train", "fwd_cost_coeff"): (_AMOUNT, ["-1e-9", "inf", "nan"]),
+    ("train", "bwd_cost_ratio"): (_AMOUNT, ["-2", "inf", "nan"]),
+    ("train", "max_events"): (_UNSIGNED, ["x"]),
+    ("train", "trace_enabled"): (_BOOLEAN, ["maybe"]),
+    ("ga", "pop_size"): (st.integers(2, 100).map(str), ["x"]),
+    ("ga", "generations"): (_COUNT, ["x"]),
+    ("ga", "crossover_rate"): (_RATE, ["x"]),
+    ("ga", "mutation_rate"): (_RATE, ["x"]),
+    ("ga", "elitism_k"): (st.integers(0, 2).map(str), ["x"]),
+    ("ga", "tournament_k"): (_COUNT, ["x"]),
+}
+REQUIRED_KEYS = {
+    ("model", "arch"), ("data", "generator"), ("data", "n_samples"), ("cluster", "inventory"),
+    ("cluster", "q"), ("train", "kappa"), ("train", "k_target"), ("train", "batch_size"),
+}
+# every key at a valid value, optional ones sometimes left out
+_VALID_CONFIGS = st.fixed_dictionaries({
+    key: valid if key in REQUIRED_KEYS else st.none() | valid
+    for key, (valid, _) in CONFIG_KEYS.items()
+})
+_BAD_VALUES = [(key, bad) for key, (_, bads) in CONFIG_KEYS.items() for bad in bads]
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config")
+    (path / "inventory.txt").write_text(INVENTORY)
+    (path / "topology.txt").write_text(TOPOLOGY)
+    return path
+
+
+def _write_config(path, values):
+    lines = ["[experiment]"]  # the one section required without a required key
+    for section, key in CONFIG_KEYS:
+        text = values[section, key]
+        if text is not None:
+            if f"[{section}]" not in lines:
+                lines.append(f"[{section}]")
+            lines.append(f"{key} = {text}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestConfigSchema:
+    def test_key_list_covers_the_schema(self):
+        assert list(CONFIG_KEYS) == [(row.section, row.key) for row in configio.CONFIG_SCHEMA]
+
+    def test_readme_train_block_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n[experiment]\n", 1)[1].split("```", 1)[0]
+        listed, section = [], "experiment"
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                listed.append((section, line.partition("=")[0].strip()))
+        assert listed == list(CONFIG_KEYS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_VALID_CONFIGS)
+    def test_resolved_config_round_trips_byte_identically(self, config_dir, values):
+        cfg = configio.parse_experiment_config(_write_config(config_dir / "exp.ini", values))
+        text = configio.resolved_config_text(cfg)
+        (config_dir / "resolved.ini").write_text(text)
+        again = configio.parse_experiment_config(config_dir / "resolved.ini")
+        assert configio.resolved_config_text(again) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_VALID_CONFIGS, case=st.sampled_from(_BAD_VALUES))
+    def test_bad_value_is_one_line_naming_its_key(self, config_dir, values, case):
+        (section, key), bad = case
+        path = _write_config(config_dir / "bad.ini", {**values, (section, key): bad})
+        with pytest.raises(ConfigError) as err:
+            configio.parse_experiment_config(path)
+        message = str(err.value)
+        assert f"[{section}] {key}" in message and "\n" not in message
 
 
 class TestMetricsReader:
